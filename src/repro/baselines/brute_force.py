@@ -20,8 +20,7 @@ from repro.ir.nodes import LoopNest
 from repro.linalg import VectorSpace
 from repro.machine.model import MachineModel
 from repro.reuse.group import group_spatial_partition, group_temporal_partition
-from repro.reuse.locality import innermost_localized_space
-from repro.reuse.selfreuse import has_self_spatial, localized_temporal_dim
+from repro.reuse.locality import innermost_localized_space, self_reuse_base
 from repro.reuse.ugs import partition_ugs
 from repro.unroll.space import UnrollSpace, UnrollVector, body_copies
 from repro.unroll.streams import conservative_chains, is_analyzable, stream_chains
@@ -58,13 +57,7 @@ def measure_unrolled(nest: LoopNest, u: UnrollVector, line_size: int = 4,
         registers += summary.registers
         gts_total += g_t
         gss_total += g_s
-        k = localized_temporal_dim(ugs.matrix, localized)
-        if k > 0:
-            base = Fraction(1, trip ** k)
-        elif has_self_spatial(ugs.matrix, localized):
-            base = Fraction(1, line_size)
-        else:
-            base = Fraction(1)
+        base, _, _ = self_reuse_base(ugs.matrix, localized, line_size, trip)
         cache_cost += base * (Fraction(g_s) + Fraction(g_t - g_s) / line)
 
     return UnrollPoint(

@@ -293,13 +293,13 @@ class AnalysisEngine:
             graph = self.dependence_graph(nest, include_input=False)
             with self.metrics.timer("stage.safety"), _span("engine.safety"):
                 safety = safe_unroll_bounds(nest, graph)
-            with self.metrics.timer("stage.locality"), \
-                    _span("engine.locality"):
-                locality = tuple(loop_locality_scores(nest,
-                                                      line_size=line_size))
             with self.metrics.timer("stage.ugs_partition"), \
                     _span("ugs.partition"):
                 ugs = tuple(partition_ugs(nest))
+            with self.metrics.timer("stage.locality"), \
+                    _span("engine.locality"):
+                locality = tuple(loop_locality_scores(
+                    nest, line_size=line_size, ugs=list(ugs)))
         artifacts = NestArtifacts(key=key[0], graph=graph, safety=safety,
                                   locality=locality, ugs=ugs,
                                   line_size=line_size)

@@ -1,7 +1,8 @@
 """The switch between the optimized and the seed analysis algorithms.
 
 The cold-path optimizations (summed-area tables, shared stream chains,
-Bareiss elimination, memoized group tests, pruned search) are exact: they
+Bareiss elimination, the closed-form SIV-separable kernel of
+:mod:`repro.linalg.siv`, pruned search) are exact: they
 return bit-identical results to the original algorithms.  The parity fuzz
 suite and the cold-analysis benchmark need to *run* those originals, so
 every memo layer checks :func:`fast_enabled` and the
@@ -30,7 +31,8 @@ def fast_enabled() -> bool:
 @contextmanager
 def seed_algorithms() -> Iterator[None]:
     """Run the seed (pre-optimization) algorithms for the block: Fraction
-    elimination, uncached group-reuse tests, unmemoized spatial relates."""
+    elimination, rational group-reuse and merge solves, unmemoized spatial
+    relates."""
     from repro.linalg.matrix import fraction_elimination
 
     global _FAST

@@ -12,6 +12,8 @@ Public API:
 * :class:`VectorSpace` -- subspace of Q^n with membership, intersection, sum.
 * :class:`AffineSolution` -- solution set of ``A x = b`` (particular +
   homogeneous space), possibly empty.
+* :mod:`repro.linalg.siv` -- closed-form integer answers for SIV-separable
+  H and axis-spanned L, the shapes the paper's table algorithms cover.
 """
 
 from repro.linalg.matrix import AffineSolution, Matrix

@@ -29,6 +29,18 @@ Rational = int | Fraction
 def _frac(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
+_INT_FRACTIONS: dict[int, Fraction] = {}
+
+def int_fraction(value: int) -> Fraction:
+    """An interned ``Fraction(value)`` for the small integers the counting
+    paths produce; Fractions are immutable, so sharing instances is safe."""
+    got = _INT_FRACTIONS.get(value)
+    if got is None:
+        got = Fraction(value)
+        if len(_INT_FRACTIONS) < 65536:
+            _INT_FRACTIONS[value] = got
+    return got
+
 #: When False, every elimination runs the reference Fraction path -- the
 #: seed algorithm.  Toggled by :func:`fraction_elimination` for parity
 #: tests and seed-path benchmark measurements.
@@ -52,6 +64,10 @@ def _freeze(rows: Iterable[Iterable[Rational]]) -> tuple[tuple[Fraction, ...], .
 
 #: Sentinel for the lazily computed integer-rows cache.
 _UNSET = object()
+
+#: The SIV-separable form of a matrix: per row, the (driver column, ``int``
+#: coefficient) of its single non-zero, or None for a zero row.
+SivRows = tuple[tuple[int, int] | None, ...]
 
 @dataclass(frozen=True)
 class AffineSolution:
@@ -81,7 +97,7 @@ class Matrix:
     Rows are tuples of :class:`fractions.Fraction`.  All arithmetic is exact.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_int_rows")
+    __slots__ = ("rows", "nrows", "ncols", "_int_rows", "_siv_rows")
 
     def __init__(self, rows: Iterable[Iterable[Rational]], ncols: int | None = None):
         frozen = _freeze(rows)
@@ -99,6 +115,7 @@ class Matrix:
         object.__setattr__(self, "nrows", len(frozen))
         object.__setattr__(self, "ncols", width)
         object.__setattr__(self, "_int_rows", _UNSET)
+        object.__setattr__(self, "_siv_rows", _UNSET)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Matrix is immutable")
@@ -181,6 +198,16 @@ class Matrix:
             else:
                 cached = None
             object.__setattr__(self, "_int_rows", cached)
+        return cached
+
+    def siv_rows(self) -> SivRows | None:
+        """The SIV-separable form (§3.5, :data:`SivRows`), or None when the
+        matrix is not integral or some row or column has more than one
+        non-zero.  Cached like :meth:`integer_rows`."""
+        cached = self._siv_rows
+        if cached is _UNSET:
+            cached = _siv_form(self.integer_rows())
+            object.__setattr__(self, "_siv_rows", cached)
         return cached
 
     # -- arithmetic -----------------------------------------------------------
@@ -298,6 +325,23 @@ class Matrix:
             particular[pc] = rows[r][-1]
         return AffineSolution(exists=True, particular=tuple(particular),
                               homogeneous=self.nullspace())
+
+def _siv_form(int_rows: tuple[tuple[int, ...], ...] | None,
+              ) -> SivRows | None:
+    if int_rows is None:
+        return None
+    form: list[tuple[int, int] | None] = []
+    drivers: set[int] = set()
+    for row in int_rows:
+        nonzero = [(col, x) for col, x in enumerate(row) if x]
+        if len(nonzero) > 1 or (nonzero and nonzero[0][0] in drivers):
+            return None
+        if nonzero:
+            drivers.add(nonzero[0][0])
+            form.append(nonzero[0])
+        else:
+            form.append(None)
+    return tuple(form)
 
 def _bareiss_forward(rows: list[list[int]],
                      ncols: int) -> tuple[list[list[int]], list[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from repro.linalg.matrix import Matrix, Rational, _frac
+from repro.linalg.matrix import _UNSET, Matrix, Rational, _frac
 
 class VectorSpace:
     """A linear subspace of Q^n represented by a canonical (RREF) basis.
@@ -21,7 +21,7 @@ class VectorSpace:
     contain exactly the same vectors.
     """
 
-    __slots__ = ("dimension_ambient", "basis")
+    __slots__ = ("dimension_ambient", "basis", "_axes")
 
     def __init__(self, vectors: Iterable[Sequence[Rational]], ambient: int):
         vecs = [tuple(_frac(x) for x in v) for v in vectors]
@@ -34,6 +34,7 @@ class VectorSpace:
             basis = ()
         object.__setattr__(self, "dimension_ambient", ambient)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_axes", _UNSET)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("VectorSpace is immutable")
@@ -72,6 +73,23 @@ class VectorSpace:
 
     def is_zero(self) -> bool:
         return not self.basis
+
+    def axes(self) -> tuple[int, ...] | None:
+        """The coordinate axes spanning this space, ascending (the order
+        of :attr:`basis`), or None when it is not spanned by axes.  Cached:
+        the answer never changes for an immutable space."""
+        cached = self._axes
+        if cached is _UNSET:
+            axes = []
+            for vec in self.basis:
+                nonzero = [i for i, x in enumerate(vec) if x != 0]
+                if len(nonzero) != 1:
+                    axes = None
+                    break
+                axes.append(nonzero[0])
+            cached = tuple(axes) if axes is not None else None
+            object.__setattr__(self, "_axes", cached)
+        return cached
 
     def contains(self, vector: Sequence[Rational]) -> bool:
         vec = tuple(_frac(x) for x in vector)

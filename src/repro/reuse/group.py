@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from repro.fastpath import fast_enabled
 from repro.ir.matrixform import RefOccurrence, constant_vector
-from repro.linalg import Matrix, VectorSpace
+from repro.linalg import Matrix, VectorSpace, siv
+from repro.linalg.matrix import int_fraction
 from repro.reuse.ugs import UniformlyGeneratedSet
 
 @dataclass(frozen=True)
@@ -30,21 +29,15 @@ class GroupSolution:
 
 NO_GROUP_REUSE = GroupSolution(exists=False)
 
-# The group tests are pure functions of hashable values (Matrix and
-# VectorSpace are immutable), and the locality scorer re-asks them for the
-# same (H, Δc, L) triples across levels and structurally similar nests, so
-# both predicates are memoized.  Seed mode (repro.fastpath.seed_algorithms)
-# bypasses the caches so the reference measurement pays the original cost.
-
 def _solve_in_space(matrix: Matrix, delta: tuple[int, ...],
                     localized: VectorSpace) -> GroupSolution:
-    if fast_enabled():
-        return _solve_in_space_cached(matrix, delta, localized)
-    return _solve_in_space_impl(matrix, delta, localized)
-
-def _solve_in_space_impl(matrix: Matrix, delta: tuple[int, ...],
-                         localized: VectorSpace) -> GroupSolution:
     """Does ``matrix @ x = delta`` admit a solution x in ``localized``?"""
+    form = siv.closed_form(matrix, localized)
+    if form is not None:
+        witness = siv.solve_in_space(*form, matrix.ncols, delta)
+        if witness is None:
+            return NO_GROUP_REUSE
+        return GroupSolution(True, tuple(map(int_fraction, witness)))
     if all(d == 0 for d in delta):
         return GroupSolution(True, tuple(Fraction(0) for _ in range(matrix.ncols)))
     if localized.is_zero():
@@ -65,8 +58,6 @@ def _solve_in_space_impl(matrix: Matrix, delta: tuple[int, ...],
             witness[i] += coef * x
     return GroupSolution(True, tuple(witness))
 
-_solve_in_space_cached = lru_cache(maxsize=65536)(_solve_in_space_impl)
-
 def _integral_solution_in_space(matrix: Matrix, delta: tuple[int, ...],
                                 localized: VectorSpace) -> bool:
     """Does ``matrix @ x = delta`` have an *integer* solution x in L?
@@ -84,14 +75,6 @@ def _integral_solution_in_space(matrix: Matrix, delta: tuple[int, ...],
 def spatial_constants_related(matrix: Matrix, delta: tuple[int, ...],
                               localized: VectorSpace,
                               line_size: int | None) -> bool:
-    if fast_enabled():
-        return _spatial_constants_related_cached(matrix, delta, localized,
-                                                 line_size)
-    return _spatial_constants_related_impl(matrix, delta, localized, line_size)
-
-def _spatial_constants_related_impl(matrix: Matrix, delta: tuple[int, ...],
-                                    localized: VectorSpace,
-                                    line_size: int | None) -> bool:
     """The canonical group-spatial test between two constant vectors of a
     UGS: does ``H_S x = trunc(delta)`` have a solution x in L whose
     *minimal achievable* first-dimension residual stays within a line?
@@ -102,6 +85,9 @@ def _spatial_constants_related_impl(matrix: Matrix, delta: tuple[int, ...],
     can line the two references up).  This keeps the predicate independent
     of which witness the solver happens to return.
     """
+    form = siv.closed_form(matrix, localized)
+    if form is not None:
+        return siv.spatial_related(*form, delta, line_size)
     spatial = matrix.with_zero_row(0)
     truncated = list(delta)
     truncated[0] = 0
@@ -142,9 +128,6 @@ def _spatial_constants_related_impl(matrix: Matrix, delta: tuple[int, ...],
         folded = residual - lattice * (residual / lattice).__floor__()
         residual = min(folded, abs(lattice - folded))
     return residual < line_size
-
-_spatial_constants_related_cached = lru_cache(maxsize=65536)(
-    _spatial_constants_related_impl)
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     from math import gcd

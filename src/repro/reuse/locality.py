@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.ir.nodes import LoopNest
-from repro.linalg import VectorSpace
+from repro.linalg import Matrix, VectorSpace
 from repro.reuse.group import group_spatial_partition, group_temporal_partition
 from repro.reuse.selfreuse import (
     has_self_spatial,
@@ -51,20 +51,28 @@ class LocalitySummary:
     self_spatial: bool
     cost: Fraction  # memory accesses per iteration (Equation 1)
 
-def ugs_memory_cost(ugs: UniformlyGeneratedSet, localized: VectorSpace,
-                    line_size: int, trip: int = DEFAULT_TRIP) -> LocalitySummary:
-    """Equation 1 for one uniformly generated set."""
-    gts = group_temporal_partition(ugs, localized)
-    gss = group_spatial_partition(ugs, localized, line_size)
-    g_t, g_s = len(gts), len(gss)
-    k = localized_temporal_dim(ugs.matrix, localized)
-    spatial = has_self_spatial(ugs.matrix, localized)
+def self_reuse_base(matrix: Matrix, localized: VectorSpace, line_size: int,
+                    trip: int = DEFAULT_TRIP) -> tuple[Fraction, int, bool]:
+    """Equation 1's self-reuse factor ``base`` together with the facts it
+    rests on: ``(base, dim(R_ST ∩ L), self-spatial?)``."""
+    k = localized_temporal_dim(matrix, localized)
+    spatial = has_self_spatial(matrix, localized)
     if k > 0:
         base = Fraction(1, trip ** k)
     elif spatial:
         base = Fraction(1, line_size)
     else:
         base = Fraction(1)
+    return base, k, spatial
+
+def ugs_memory_cost(ugs: UniformlyGeneratedSet, localized: VectorSpace,
+                    line_size: int, trip: int = DEFAULT_TRIP) -> LocalitySummary:
+    """Equation 1 for one uniformly generated set."""
+    gts = group_temporal_partition(ugs, localized)
+    gss = group_spatial_partition(ugs, localized, line_size)
+    g_t, g_s = len(gts), len(gss)
+    base, k, spatial = self_reuse_base(ugs.matrix, localized, line_size,
+                                       trip)
     cost = base * (Fraction(g_s) + Fraction(g_t - g_s, line_size))
     return LocalitySummary(ugs, g_t, g_s, k, spatial, cost)
 
@@ -86,15 +94,19 @@ def nest_memory_cost(nest: LoopNest, localized: VectorSpace | None = None,
     return total, summaries
 
 def loop_locality_scores(nest: LoopNest, line_size: int = 4,
-                         trip: int = DEFAULT_TRIP) -> list[Fraction]:
+                         trip: int = DEFAULT_TRIP,
+                         ugs: list[UniformlyGeneratedSet] | None = None,
+                         ) -> list[Fraction]:
     """Per-loop locality benefit used to pick the loops to unroll (§4.5).
 
     Score of loop k = the Equation-1 cost with the localized space extended
     by loop k's direction, subtracted from the innermost-only cost: loops
     whose localization removes the most memory cost carry the most reuse,
-    and are the best unroll-and-jam candidates.
+    and are the best unroll-and-jam candidates.  ``ugs`` optionally
+    supplies the precomputed partition, as for :func:`nest_memory_cost`.
     """
-    sets = partition_ugs(nest)  # one partition for all depth+1 scorings
+    # One partition serves all depth+1 scorings.
+    sets = partition_ugs(nest) if ugs is None else ugs
     base_space = innermost_localized_space(nest)
     base_cost, _ = nest_memory_cost(nest, base_space, line_size, trip,
                                     ugs=sets)

@@ -10,7 +10,7 @@ i.e. within cache-line reach.  R_ST is always a subspace of R_SS.
 
 from __future__ import annotations
 
-from repro.linalg import Matrix, VectorSpace
+from repro.linalg import Matrix, VectorSpace, siv
 
 def self_temporal_space(matrix: Matrix) -> VectorSpace:
     """R_ST = ker(H)."""
@@ -23,13 +23,19 @@ def self_spatial_space(matrix: Matrix) -> VectorSpace:
 def has_self_temporal(matrix: Matrix, localized: VectorSpace) -> bool:
     """Does the reference reuse the *same element* inside the localized
     iteration space?"""
-    return not self_temporal_space(matrix).intersect(localized).is_zero()
+    return localized_temporal_dim(matrix, localized) > 0
 
 def has_self_spatial(matrix: Matrix, localized: VectorSpace) -> bool:
     """Does the reference stay on the same cache line along some localized
     direction (beyond pure temporal reuse)?"""
+    form = siv.closed_form(matrix, localized)
+    if form is not None:
+        return siv.self_spatial(*form)
     return not self_spatial_space(matrix).intersect(localized).is_zero()
 
 def localized_temporal_dim(matrix: Matrix, localized: VectorSpace) -> int:
     """dim(R_ST ∩ L): how many localized dimensions amortize the access."""
+    form = siv.closed_form(matrix, localized)
+    if form is not None:
+        return siv.temporal_dim(*form)
     return self_temporal_space(matrix).intersect(localized).dim

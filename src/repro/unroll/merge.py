@@ -13,7 +13,10 @@ solution is unique when it exists; we solve the stacked system
 
     [ H e_d1 | H e_d2 | ... | H b_1 | H b_2 | ... ] [k ; l] = Δc
 
-exactly over Q and demand integrality of the copy-offset part.
+exactly over Q and demand integrality of the copy-offset part.  When H
+is SIV-separable and L is spanned by axes the system decouples into one
+integer test per row (:func:`repro.linalg.siv.merge_parts`); the
+elimination below handles every other shape.
 
 The returned :class:`MergeSolution` carries the signed offset difference
 (the paper's r-hat) and the residual distance along the innermost loop,
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.linalg import Matrix, VectorSpace
+from repro.linalg import Matrix, VectorSpace, siv
 
 @dataclass(frozen=True)
 class MergeSolution:
@@ -61,6 +64,13 @@ def solve_merge(matrix: Matrix, delta: tuple[int, ...],
     may be negative: copies merge when their offset difference matches,
     whichever side is ahead.
     """
+    form = siv.closed_form(matrix, localized)
+    if form is not None:
+        parts = siv.merge_parts(*form, dims, delta, spatial)
+        if parts is None:
+            return None
+        return _result(dims, *parts, localized.basis, matrix, delta, spatial,
+                       line_size)
     work = matrix.with_zero_row(0) if spatial else matrix
     rhs = list(delta)
     if spatial:

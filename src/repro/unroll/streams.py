@@ -21,8 +21,8 @@ from itertools import product
 from typing import Iterator
 
 from repro.fastpath import fast_enabled
-from repro.ir.matrixform import RefOccurrence, constant_vector
-from repro.linalg import Matrix, VectorSpace
+from repro.linalg import Matrix, VectorSpace, siv
+from repro.linalg.matrix import int_fraction
 from repro.reuse.ugs import UniformlyGeneratedSet
 from repro.unroll.merge import MergeSolution, solve_merge
 from repro.unroll.space import UnrollVector, box_tuple
@@ -40,18 +40,6 @@ def used_dims(matrix: Matrix, dims: tuple[int, ...],
 
 def _offsets(u: UnrollVector, dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from box_tuple(tuple(u[d] + 1 for d in dims))
-
-_INT_FRACTIONS: dict[int, Fraction] = {}
-
-def int_fraction(value: int) -> Fraction:
-    """An interned ``Fraction(value)`` for the small integers the counting
-    paths produce; Fractions are immutable, so sharing instances is safe."""
-    got = _INT_FRACTIONS.get(value)
-    if got is None:
-        got = Fraction(value)
-        if len(_INT_FRACTIONS) < 65536:
-            _INT_FRACTIONS[value] = got
-    return got
 
 class _UnionFind:
     """Union-find over dense integer nodes ``0..n-1`` (flat list parents).
@@ -203,8 +191,8 @@ class SpatialRelation:
     det_dims: tuple[int, ...]  # positions into the reduced dim tuple
     det_offset: tuple[int, ...]
     free_dims: tuple[int, ...]  # positions into the reduced dim tuple
-    free_coeffs: tuple[Fraction, ...]
-    base_residual: Fraction
+    free_coeffs: tuple[int, ...]
+    base_residual: int
     free_motion: bool
 
     def relates(self, d: tuple[int, ...], line_size: int | None) -> bool:
@@ -235,13 +223,15 @@ def spatial_relations(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
     dim_pos = {dim: pos for pos, dim in enumerate(reduced)}
     consts = ugs.constants()
     depth = matrix.ncols
-
-    def row_driver(row_idx: int) -> tuple[int | None, Fraction]:
-        for col in range(depth):
-            coef = matrix.entry(row_idx, col)
-            if coef != 0:
-                return col, coef
-        return None, Fraction(0)
+    form = siv.closed_form(matrix, localized)
+    if form is not None:
+        rows, axes = form
+        in_space = [entry is not None and entry[0] in axes for entry in rows]
+    else:
+        rows = matrix.siv_rows()
+        in_space = [entry is not None and localized.contains(
+            tuple(int(k == entry[0]) for k in range(depth)))
+            for entry in rows]
 
     relations: list[SpatialRelation] = []
     for i in range(len(consts)):
@@ -249,14 +239,12 @@ def spatial_relations(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
             delta = [cj - ci for ci, cj in zip(consts[i], consts[j])]
             det: dict[int, int] = {}
             free_dims: list[int] = []
-            free_coeffs: list[Fraction] = []
-            base_residual = Fraction(delta[0])
+            free_coeffs: list[int] = []
+            base_residual = delta[0]
             free_motion = False
             feasible = True
-            for row_idx in range(matrix.nrows):
-                driver, coef = row_driver(row_idx)
-                in_l = driver is not None and localized.contains(
-                    tuple(1 if k == driver else 0 for k in range(depth)))
+            for row_idx, (entry, in_l) in enumerate(zip(rows, in_space)):
+                driver, coef = entry if entry is not None else (None, 0)
                 if row_idx == 0:
                     if driver is None:
                         continue
@@ -268,23 +256,20 @@ def spatial_relations(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
                     # a non-unrolled, non-localized driver: copies cannot
                     # move along it; the fixed delta stays in the residual
                     continue
-                need = Fraction(delta[row_idx])
+                need = delta[row_idx]
                 if driver is None:
                     if need != 0:
                         feasible = False
                         break
                     continue
+                step, rem = divmod(need, coef)
+                if rem:
+                    feasible = False
+                    break
                 if in_l:
-                    if (need / coef).denominator != 1:
-                        feasible = False
-                        break
                     continue
                 if driver in dim_pos:
-                    step = need / coef
-                    if step.denominator != 1:
-                        feasible = False
-                        break
-                    det[dim_pos[driver]] = int(step)
+                    det[dim_pos[driver]] = step
                     continue
                 if need != 0:
                     feasible = False
@@ -553,13 +538,7 @@ def _close_chain(nodes: list[tuple[int, tuple[int, ...]]],
 def is_analyzable(ugs: UniformlyGeneratedSet) -> bool:
     """True when H has at most one non-zero per row and column (§3.5);
     outside that class the counts fall back to no-merging conservatism."""
-    for row in ugs.matrix.rows:
-        if sum(1 for x in row if x != 0) > 1:
-            return False
-    for j in range(ugs.matrix.ncols):
-        if sum(1 for x in ugs.matrix.column(j) if x != 0) > 1:
-            return False
-    return True
+    return ugs.matrix.siv_rows() is not None
 
 def conservative_group_count(ugs: UniformlyGeneratedSet, u: UnrollVector,
                              dims: tuple[int, ...],

@@ -23,8 +23,8 @@ from typing import Callable
 from repro.fastpath import fast_enabled
 from repro.ir.nodes import LoopNest
 from repro.linalg import VectorSpace
-from repro.reuse.locality import innermost_localized_space
-from repro.reuse.selfreuse import has_self_spatial, localized_temporal_dim
+from repro.linalg.matrix import int_fraction
+from repro.reuse.locality import innermost_localized_space, self_reuse_base
 from repro.reuse.ugs import UniformlyGeneratedSet, partition_ugs
 from repro.unroll.space import UnrollSpace, UnrollVector, body_copies
 from repro.unroll.streams import (
@@ -35,7 +35,6 @@ from repro.unroll.streams import (
     is_analyzable,
     pairwise_merges,
     spatial_relations,
-    int_fraction,
     stream_chains,
     stream_chains_with_groups,
     used_dims,
@@ -331,15 +330,6 @@ class UnrollTables:
     def all_points(self) -> list[UnrollPoint]:
         return [self.point(u) for u in self.space]
 
-def _equation1_base(ugs: UniformlyGeneratedSet, localized: VectorSpace,
-                    line_size: int, trip: int) -> Fraction:
-    k = localized_temporal_dim(ugs.matrix, localized)
-    if k > 0:
-        return Fraction(1, trip ** k)
-    if has_self_spatial(ugs.matrix, localized):
-        return Fraction(1, line_size)
-    return Fraction(1)
-
 def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
                  trip: int = 100,
                  localized: VectorSpace | None = None,
@@ -375,7 +365,8 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
             if cached is not None:
                 per_ugs.append(cached)
                 continue
-        base = _equation1_base(group, localized, line_size, trip)
+        base, _, _ = self_reuse_base(group.matrix, localized, line_size,
+                                     trip)
         gts = None  # built jointly with the stream tables when shareable
         if is_analyzable(group):
             merges_t = pairwise_merges(group, space.dims, localized,
