@@ -46,7 +46,7 @@ from repro.cluster import ClusterConfig, ClusterThread
 from repro.engine import AnalysisEngine
 from repro.kernels import all_kernels
 from repro.serve.batcher import BatchConfig
-from repro.serve.client import ServeClient, build_workload, run_load
+from repro.serve.client import Client, build_workload, run_load
 from repro.serve.server import ServeConfig, ServerThread
 
 #: Required fraction of ideal hardware-aware scaling.  The router's L2
@@ -123,7 +123,7 @@ def run_cluster_benchmark(workers: int = 2, concurrency: int = 8,
                                    worker_deadline_ms=5.0,
                                    worker_batch_max=32)
     with ClusterThread(cluster_config) as handle:
-        probe = ServeClient(port=handle.port)
+        probe = Client(port=handle.port, transport="json", max_retries=0)
         run_load("127.0.0.1", handle.port, _sweep(1),
                  concurrency=concurrency, bound=bound)  # warm every shard
         cluster = _best([run_load("127.0.0.1", handle.port, _sweep(passes),

@@ -43,7 +43,7 @@ from repro import obs
 from repro.engine import AnalysisEngine
 from repro.kernels import all_kernels
 from repro.serve.batcher import BatchConfig
-from repro.serve.client import ServeClient, build_workload, run_load
+from repro.serve.client import Client, build_workload, run_load
 from repro.serve.server import ServeConfig, ServerThread
 
 #: The acceptance bar: with 50% duplicates, compute calls per request.
@@ -66,7 +66,7 @@ def _wire_workload(passes: int) -> list:
     return build_workload(passes * len(specs), duplicate_fraction=0.0,
                           nests=specs * passes)
 
-def _engine_optimize_calls(client: ServeClient) -> int:
+def _engine_optimize_calls(client: Client) -> int:
     _, doc = client.metrics()
     return doc["metrics"]["counters"].get("engine.optimize", 0)
 
@@ -80,7 +80,7 @@ def run_serve_benchmark(concurrency: int = 8, passes: int = 5,
                                                    max_batch=32,
                                                    threads=4))
     with ServerThread(config, AnalysisEngine()) as handle:
-        probe = ServeClient(port=handle.port)
+        probe = Client(port=handle.port, transport="json", max_retries=0)
 
         # Phase 1: every kernel exactly twice -> 50% duplicate nests.
         workload = build_workload(2 * kernel_count, duplicate_fraction=0.5)

@@ -27,7 +27,7 @@ import difflib
 import os
 import pathlib
 import warnings
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover -- type names only
     from repro.reuse.profile import NestReuseProfile
@@ -290,6 +290,18 @@ def reuse_profile(nest_or_source, machine: "MachineModel | str" = "alpha",
         engine = engine if engine is not None else default_engine()
         return engine.reuse_profile(nest, model, trip=trip)
 
+def _batch_entries(specs: Iterable) -> Iterator:
+    """Coerce each spec lazily; one that fails to resolve becomes a
+    :class:`BatchError` placeholder, which the engine reports as a
+    failed item."""
+    for index, spec in enumerate(specs):
+        try:
+            yield coerce_nest(spec)
+        except NestResolutionError as err:
+            label = spec if isinstance(spec, str) else \
+                getattr(spec, "name", f"item{index}")
+            yield BatchError(name=str(label), message=str(err))
+
 def optimize_many(specs: Sequence, machine: "MachineModel | str" = "alpha",
                   workers: int | None = None, bound: int = DEFAULT_BOUND,
                   max_loops: int = 2, include_cache: bool = True,
@@ -303,18 +315,10 @@ def optimize_many(specs: Sequence, machine: "MachineModel | str" = "alpha",
     with _span("api.optimize_many"):
         model = coerce_machine(machine)
         engine = engine if engine is not None else default_engine()
-        entries: list = []
-        for index, spec in enumerate(specs):
-            try:
-                entries.append(coerce_nest(spec))
-            except NestResolutionError as err:
-                label = spec if isinstance(spec, str) else \
-                    getattr(spec, "name", f"item{index}")
-                entries.append(BatchError(name=str(label),
-                                          message=str(err)))
-        return engine.optimize_many(entries, model, workers=workers,
-                                    bound=bound, max_loops=max_loops,
-                                    include_cache=include_cache, trip=trip)
+        return engine.optimize_many(
+            list(_batch_entries(specs)), model, workers=workers,
+            bound=bound, max_loops=max_loops, include_cache=include_cache,
+            trip=trip)
 
 def optimize_stream(specs, machine: "MachineModel | str" = "alpha",
                     workers: int | None = None, bound: int = DEFAULT_BOUND,
@@ -334,19 +338,9 @@ def optimize_stream(specs, machine: "MachineModel | str" = "alpha",
     """
     model = coerce_machine(machine)
     engine = engine if engine is not None else default_engine()
-
-    def entries():
-        for index, spec in enumerate(specs):
-            try:
-                yield coerce_nest(spec)
-            except NestResolutionError as err:
-                label = spec if isinstance(spec, str) else \
-                    getattr(spec, "name", f"item{index}")
-                yield BatchError(name=str(label), message=str(err))
-
     with _span("api.optimize_stream"):
         yield from engine.optimize_stream(
-            entries(), model, workers=workers, bound=bound,
+            _batch_entries(specs), model, workers=workers, bound=bound,
             max_loops=max_loops, include_cache=include_cache, trip=trip,
             chunk_size=chunk_size)
 

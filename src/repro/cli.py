@@ -430,7 +430,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             worker_threads=args.threads, worker_batch_max=args.batch_max,
             worker_deadline_ms=args.batch_deadline_ms,
             worker_queue_limit=args.queue_limit,
-            worker_pool_workers=args.pool_workers,
             worker_extra_args=_predict_worker_args(args))
         return run_cluster(cluster)
     config = ServeConfig(
@@ -443,8 +442,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch=BatchConfig(max_batch=args.batch_max,
                           deadline_s=args.batch_deadline_ms / 1000.0,
                           queue_limit=args.queue_limit,
-                          threads=args.threads,
-                          workers=args.pool_workers))
+                          threads=args.threads))
     profiler = obs.Profiler(enabled=True) if args.profile else None
     if args.trace:
         obs.configure(enabled=True)
@@ -469,9 +467,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             raise SystemExit(f"cannot read metrics document "
                              f"{args.from_file!r}: {err}")
     else:
-        from repro.serve.client import ServeClient
+        from repro.serve.client import Client
 
-        client = ServeClient(args.host, args.port)
+        client = Client(args.host, args.port, transport="json",
+                        max_retries=0)
         try:
             status, document = client.metrics()
         except OSError as err:
@@ -669,9 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run N sharded worker processes behind the "
                               "consistent-hash router (0 = single-process "
                               "server; see docs/CLUSTER.md)")
-    p_serve.add_argument("--pool-workers", type=int, default=0,
-                         help="engine process-pool size for large flushes "
-                              "(0 disables)")
     p_serve.add_argument("--timeout", type=float, default=30.0,
                          help="per-request timeout in seconds")
     p_serve.add_argument("--drain-grace", type=float, default=30.0,

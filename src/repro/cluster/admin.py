@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from repro.serve.client import ServeClient
+from repro.serve.client import Client
 
 __all__ = ["build_parser", "main", "run_admin"]
 
@@ -51,7 +51,8 @@ def run_admin(action: str, host: str, port: int,
               to: int | None = None, timeout: float = 120.0,
               as_json: bool = False) -> int:
     """Execute one admin action against the router; prints the result."""
-    client = ServeClient(host, port, timeout=timeout)
+    client = Client(host, port, timeout=timeout, transport="json",
+                    max_retries=0)
     try:
         if action == "status":
             status, document = client.request("GET", "/cluster/status")

@@ -98,7 +98,6 @@ class ClusterConfig:
     worker_batch_max: int = 16
     worker_deadline_ms: float = 10.0
     worker_queue_limit: int = 256
-    worker_pool_workers: int = 0
     runtime_dir: str | None = None  # announce files (default: a tempdir)
     worker_extra_args: list[str] = field(default_factory=list)
 
@@ -138,8 +137,7 @@ class Supervisor:
                "--threads", str(cfg.worker_threads),
                "--batch-max", str(cfg.worker_batch_max),
                "--batch-deadline-ms", str(cfg.worker_deadline_ms),
-               "--queue-limit", str(cfg.worker_queue_limit),
-               "--pool-workers", str(cfg.worker_pool_workers)]
+               "--queue-limit", str(cfg.worker_queue_limit)]
         if cfg.cache:
             cmd.append("--cache")
             if cfg.cache_dir:

@@ -78,8 +78,7 @@ def build_worker_server(args: argparse.Namespace) -> AnalysisServer:
         batch=BatchConfig(max_batch=args.batch_max,
                           deadline_s=args.batch_deadline_ms / 1000.0,
                           queue_limit=args.queue_limit,
-                          threads=args.threads,
-                          workers=args.pool_workers))
+                          threads=args.threads))
     return AnalysisServer(config, engine)
 
 async def _serve(server: AnalysisServer, announce: pathlib.Path | None,
@@ -117,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch-max", type=int, default=16)
     parser.add_argument("--batch-deadline-ms", type=float, default=10.0)
     parser.add_argument("--queue-limit", type=int, default=256)
-    parser.add_argument("--pool-workers", type=int, default=0,
-                        help="engine process-pool size for large flushes")
     parser.add_argument("--cache", action="store_true",
                         help="per-shard on-disk table cache")
     parser.add_argument("--cache-dir", default=None,

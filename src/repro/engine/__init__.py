@@ -13,10 +13,10 @@ nests and across runs:
   an on-disk JSON cache (default ``~/.cache/repro/``, override with the
   ``REPRO_CACHE_DIR`` environment variable) reusing
   :mod:`repro.unroll.serialize`;
-* :meth:`AnalysisEngine.optimize_many` fans a corpus out over a process
-  pool with picklable task/result envelopes and per-nest error capture, so
-  one malformed nest degrades to a reported failure instead of killing the
-  batch;
+* :meth:`AnalysisEngine.optimize_stream` fans a corpus out over a
+  process pool in picklable chunks with per-nest error capture, so one
+  malformed nest degrades to a reported failure instead of killing the
+  batch; :meth:`AnalysisEngine.optimize_many` collects that stream;
 * every stage is instrumented through :mod:`repro.engine.metrics`.
 
 ``engine.optimize(nest, machine)`` is guaranteed to return the same
@@ -27,6 +27,7 @@ and ``benchmarks/bench_engine_throughput.py`` enforce vector-level parity.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pathlib
 import threading
@@ -148,7 +149,7 @@ class BatchError:
 
 @dataclass
 class BatchItem:
-    """Per-nest envelope of :meth:`AnalysisEngine.optimize_many`."""
+    """Per-nest envelope of :meth:`AnalysisEngine.optimize_stream`."""
 
     index: int
     name: str
@@ -156,8 +157,7 @@ class BatchItem:
     result: OptimizationResult | None = None
     error: str | None = None
     duration_s: float = 0.0
-    metrics: dict | None = None  # worker-side snapshot, merged by the parent
-    spans: list | None = None    # worker-side trace spans, ingested likewise
+    spans: list | None = None  # always None: chunk spans go to the tracer
 
     def to_dict(self) -> dict:
         row: dict = {"index": self.index, "name": self.name, "ok": self.ok,
@@ -459,36 +459,31 @@ class AnalysisEngine:
                       bound: int = DEFAULT_BOUND, max_loops: int = 2,
                       include_cache: bool = True,
                       trip: int = 100) -> BatchReport:
-        """Optimize a whole corpus.
+        """Optimize a whole corpus: :meth:`optimize_stream`, collected
+        back into input order.
 
         ``workers=None`` or ``1`` runs in-process (sharing this engine's
-        caches); ``workers=N`` fans out over a process pool.  Entries that
-        are not :class:`LoopNest` (or are :class:`BatchError` placeholders
-        from upstream coercion) and nests whose analysis raises become
-        failed items; the rest of the batch completes.
+        caches); ``workers=N`` fans about four chunks per worker over a
+        process pool.  Entries that are not :class:`LoopNest` (or are
+        :class:`BatchError` placeholders from upstream coercion) and nests
+        whose analysis raises become failed items; the rest of the batch
+        completes.
 
-        Structurally identical nests are deduplicated *before* dispatch:
-        one representative runs, its result fans back out to every
-        duplicate index (``engine.dedup.hits`` counts the slots saved).
+        The dedup window spans the whole batch, so every structure runs
+        once and its result fans back out to each structural twin
+        (``engine.dedup.hits`` counts the slots saved).
         """
         start = time.monotonic()
-        params = dict(bound=bound, max_loops=max_loops,
-                      include_cache=include_cache, trip=trip)
+        # About four chunks per worker: enough to keep every worker busy,
+        # few enough to amortize the per-chunk pickling hop.
+        chunk_size = math.ceil(len(nests) / (4 * (workers or 1))) or 1
         with _span("engine.optimize_many", nests=len(nests),
                    workers=workers or 1):
-            pairs, duplicates = self._dedup_pairs(enumerate(nests))
-            if workers is not None and workers > 1:
-                items = self._run_parallel(pairs, machine, workers, params)
-            else:
-                items = [self._run_one(i, nest, machine, params)
-                         for i, nest in pairs]
-            if duplicates:
-                by_index = {item.index: item for item in items}
-                for rep_index, waiters in duplicates.items():
-                    rep = by_index[rep_index]
-                    items.extend(_fan_item(rep, i, nest)
-                                 for i, nest in waiters)
-                items.sort(key=lambda item: item.index)
+            items = sorted(self.optimize_stream(
+                nests, machine, workers=workers, bound=bound,
+                max_loops=max_loops, include_cache=include_cache, trip=trip,
+                chunk_size=chunk_size, window=max(1, len(nests))),
+                key=lambda item: item.index)
         wall = time.monotonic() - start
         self.metrics.count("batch.runs")
         self.metrics.count("batch.items", len(items))
@@ -518,87 +513,6 @@ class AnalysisEngine:
         return BatchItem(index=index, name=nest.name, ok=True, result=result,
                          duration_s=time.monotonic() - t0)
 
-    def _dedup_pairs(self, pairs: Iterable[tuple[int, object]],
-                     ) -> tuple[list[tuple[int, object]],
-                                dict[int, list[tuple[int, LoopNest]]]]:
-        """Split indexed entries into unique work and structural twins.
-
-        Returns ``(unique, duplicates)``: the first-seen entry of every
-        structural key (plus every non-nest entry) in order, and a map
-        from each representative's index to its duplicates' ``(index,
-        nest)`` pairs.  Counts the saved slots as ``engine.dedup.hits``.
-        """
-        seen: dict[object, int] = {}
-        unique: list[tuple[int, object]] = []
-        duplicates: dict[int, list[tuple[int, LoopNest]]] = {}
-        hits = 0
-        for index, nest in pairs:
-            if isinstance(nest, LoopNest):
-                key = nest.structural_key()
-                rep = seen.get(key)
-                if rep is not None:
-                    duplicates.setdefault(rep, []).append((index, nest))
-                    hits += 1
-                    continue
-                seen[key] = index
-            unique.append((index, nest))
-        if hits:
-            self.metrics.count("engine.dedup.hits", hits)
-        return unique, duplicates
-
-    def _run_parallel(self, pairs: Sequence[tuple[int, object]],
-                      machine: MachineModel,
-                      workers: int, params: dict) -> list[BatchItem]:
-        from concurrent import futures
-
-        # When tracing, ship the current (trace_id, span_id) to every
-        # worker so the spans it records come back rooted under this
-        # batch's span -- parent/child nesting survives the pool hop.
-        trace_ctx = (_obs_trace.current_context()
-                     if _obs_trace.get_tracer().enabled else None)
-        local: list[BatchItem] = []
-        tasks: list[_Task] = []
-        for index, nest in pairs:
-            if isinstance(nest, LoopNest):
-                tasks.append(_Task(index=index, nest=nest, machine=machine,
-                                   params=params,
-                                   disk_cache=self.disk_cache,
-                                   cache_dir=str(self.cache_dir),
-                                   trace=trace_ctx))
-            else:
-                local.append(self._run_one(index, nest, machine, params))
-        items = list(local)
-        try:
-            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                pending = {pool.submit(_optimize_task, task): task
-                           for task in tasks}
-                for future in futures.as_completed(pending):
-                    task = pending[future]
-                    try:
-                        item = future.result()
-                    except Exception as err:  # broken pool / unpicklable
-                        item = BatchItem(index=task.index,
-                                         name=task.nest.name, ok=False,
-                                         error=f"worker failed: "
-                                               f"{type(err).__name__}: {err}")
-                    if item.metrics is not None:
-                        self.metrics.merge(item.metrics)
-                        item.metrics = None
-                    if item.spans is not None:
-                        _obs_trace.get_tracer().ingest(item.spans)
-                        item.spans = None
-                    items.append(item)
-        except (OSError, PermissionError, NotImplementedError):
-            # No process pool available here: degrade to in-process.
-            self.metrics.count("batch.pool_fallback")
-            done = {item.index for item in items}
-            for task in tasks:
-                if task.index not in done:
-                    items.append(self._run_one(task.index, task.nest,
-                                               machine, params))
-        items.sort(key=lambda item: item.index)
-        return items
-
     # -- streaming corpus fan-out --------------------------------------------
 
     def optimize_stream(self, nests: Iterable[object],
@@ -610,9 +524,9 @@ class AnalysisEngine:
                         window: int = 4096) -> Iterator[BatchItem]:
         """Optimize an *iterable* corpus, yielding items as they complete.
 
-        The streaming sibling of :meth:`optimize_many` for corpora too
-        large to materialize: nothing holds the input list or the result
-        list, so peak memory stays near-flat in the corpus size.
+        The one corpus fan-out path (:meth:`optimize_many` collects it).
+        Nothing holds the input list or the result list, so peak memory
+        stays near-flat in the corpus size.
 
         * ``workers=None``/``1`` runs in-process, yielding in input
           order; ``workers=N`` fans chunks of ``chunk_size`` nests over a
@@ -624,8 +538,9 @@ class AnalysisEngine:
           results (and against in-flight chunks) before dispatch, counted
           as ``engine.dedup.hits``.
 
-        Every yielded item is a :class:`BatchItem`; failures are reported
-        items exactly as in :meth:`optimize_many`.
+        Every yielded item is a :class:`BatchItem`; entries that are not
+        :class:`LoopNest` and nests whose analysis raises become failed
+        items, and the rest of the stream completes.
         """
         params = dict(bound=bound, max_loops=max_loops,
                       include_cache=include_cache, trip=trip)
@@ -687,10 +602,13 @@ class AnalysisEngine:
             entries = chunk
             chunk = []
             task = _Chunk(entries=tuple((i, nest) for i, nest, _ in entries),
-                          machine=machine, params=params,
-                          disk_cache=self.disk_cache,
-                          cache_dir=str(self.cache_dir), trace=trace_ctx)
-            pending[pool.submit(_optimize_chunk, task)] = entries
+                          machine=machine, params=params, trace=trace_ctx)
+            try:
+                future = pool.submit(_optimize_chunk, task)
+            except futures.BrokenExecutor as err:  # a worker died earlier
+                future = futures.Future()
+                future.set_exception(err)
+            pending[future] = entries
             self.metrics.count("stream.chunks")
 
         def resolve_local(index: int, nest: LoopNest,
@@ -797,7 +715,9 @@ class AnalysisEngine:
         finally:
             for future in pending:
                 future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Join the workers after a complete run; an abandoned stream
+            # must not block on the chunks it no longer wants.
+            pool.shutdown(wait=not pending, cancel_futures=True)
 
     # -- cache management ----------------------------------------------------
 
@@ -837,6 +757,8 @@ class AnalysisEngine:
         self._graphs.clear()
         self._artifacts.clear()
         self._tables.clear()
+        self._profiles.clear()
+        self._simd.clear()
         if self.ugs_cache is not None:
             self.ugs_cache.clear()
 
@@ -951,28 +873,14 @@ def _rebind_tables(tables: UnrollTables, nest: LoopNest) -> UnrollTables:
 # -- worker-process plumbing -------------------------------------------------
 
 @dataclass(frozen=True)
-class _Task:
-    """Picklable work unit shipped to pool workers."""
-
-    index: int
-    nest: LoopNest
-    machine: MachineModel
-    params: dict
-    disk_cache: bool
-    cache_dir: str
-    trace: tuple[str, str] | None = None  # parent (trace_id, span_id)
-
-@dataclass(frozen=True)
 class _Chunk:
-    """Picklable streaming work unit: a slice of the corpus shipped to a
-    pool worker in one hop (amortizes the per-task IPC of ``_Task``)."""
+    """Picklable work unit: a slice of the corpus shipped to a pool
+    worker in one hop."""
 
     entries: tuple[tuple[int, LoopNest], ...]
     machine: MachineModel
     params: dict
-    disk_cache: bool = False
-    cache_dir: str = ""
-    trace: tuple[str, str] | None = None
+    trace: tuple[str, str] | None = None  # parent (trace_id, span_id)
 
 @dataclass
 class _ChunkResult:
@@ -987,29 +895,22 @@ _WORKER_ENGINE: AnalysisEngine | None = None
 def _init_worker(disk_cache: bool, cache_dir: str) -> None:
     """Pool initializer: build the per-process engine eagerly so every
     worker's caches (tables LRU, UGS cache) exist -- and stay warm --
-    from its very first chunk."""
+    from its first chunk to its last."""
     global _WORKER_ENGINE
-    if _WORKER_ENGINE is None:
-        _WORKER_ENGINE = AnalysisEngine(disk_cache=disk_cache,
-                                        cache_dir=cache_dir)
+    _WORKER_ENGINE = AnalysisEngine(disk_cache=disk_cache,
+                                    cache_dir=cache_dir)
 
-def _worker_engine(disk_cache: bool, cache_dir: str) -> AnalysisEngine:
-    """The per-process engine with a fresh Metrics for this task, so the
-    snapshot shipped back covers exactly this task's work."""
-    global _WORKER_ENGINE
-    if _WORKER_ENGINE is None:
-        _WORKER_ENGINE = AnalysisEngine(disk_cache=disk_cache,
-                                        cache_dir=cache_dir)
+def _optimize_chunk(chunk: _Chunk) -> _ChunkResult:
+    """Run one chunk in a worker; per-nest errors degrade to failed
+    items, exactly as in :meth:`AnalysisEngine._run_one`.  The metrics
+    snapshot shipped back covers exactly this chunk's work."""
     engine = _WORKER_ENGINE
     engine.metrics = Metrics()
     if engine.ugs_cache is not None:
         engine.ugs_cache.metrics = engine.metrics
-    return engine
-
-def _optimize_chunk(chunk: _Chunk) -> _ChunkResult:
-    """Run one streamed chunk in a worker; per-nest errors degrade to
-    failed items, exactly as in :meth:`AnalysisEngine._run_one`."""
-    engine = _worker_engine(chunk.disk_cache, chunk.cache_dir)
+    # Trace propagation: when the parent traced the run, record this
+    # chunk's spans into a fresh worker tracer rooted at the parent's
+    # context and ship them back serialized.
     worker_tracer = None
     previous_tracer = None
     if chunk.trace is not None:
@@ -1028,38 +929,6 @@ def _optimize_chunk(chunk: _Chunk) -> _ChunkResult:
              if worker_tracer is not None else None)
     return _ChunkResult(items=items, metrics=engine.metrics.snapshot(),
                         spans=spans)
-
-def _optimize_task(task: _Task) -> BatchItem:
-    """Run one task in a worker, reusing a per-process engine so repeated
-    structures stay warm within the worker; returns a picklable item
-    carrying the task's metrics snapshot for the parent to merge."""
-    engine = _worker_engine(task.disk_cache, task.cache_dir)
-    # Trace propagation: when the parent traced the batch, record this
-    # task's spans into a fresh worker tracer rooted at the parent's
-    # context and ship them back serialized on the item.
-    worker_tracer = None
-    previous_tracer = None
-    if task.trace is not None:
-        worker_tracer = _obs_trace.Tracer(enabled=True)
-        previous_tracer = _obs_trace.set_tracer(worker_tracer)
-    t0 = time.monotonic()
-    try:
-        with _obs_trace.activate(task.trace):
-            result = engine.optimize(task.nest, task.machine, **task.params)
-        item = BatchItem(index=task.index, name=task.nest.name, ok=True,
-                         result=result, duration_s=time.monotonic() - t0)
-    except Exception as err:
-        item = BatchItem(index=task.index, name=task.nest.name, ok=False,
-                         error=f"{type(err).__name__}: {err}",
-                         duration_s=time.monotonic() - t0)
-    finally:
-        if previous_tracer is not None:
-            _obs_trace.set_tracer(previous_tracer)
-    if worker_tracer is not None:
-        item.spans = [span_obj.to_dict()
-                      for span_obj in worker_tracer.spans()]
-    item.metrics = engine.metrics.snapshot()
-    return item
 
 # -- module-level disk-cache utilities ---------------------------------------
 

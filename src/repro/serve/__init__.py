@@ -27,7 +27,7 @@ from repro.serve.server import (
     run_server,
 )
 
-# The client half (ServeClient, run_load, wait_for_server) lives in
+# The client half (Client, run_load, wait_for_server) lives in
 # repro.serve.client and is imported from there directly -- keeping it
 # out of the package root lets ``python -m repro.serve.client`` run
 # without double-importing the module.

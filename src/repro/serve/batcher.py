@@ -15,9 +15,7 @@ The serving pipeline between the HTTP layer and the
   answered without touching the engine at all;
 * **size-or-deadline flush** -- the dispatcher collects jobs until
   ``max_batch`` are waiting or ``deadline_s`` has elapsed since the first,
-  then flushes the batch: inline on the thread pool for small batches,
-  through the engine's process-pool :meth:`optimize_many` for large
-  homogeneous ones;
+  then runs every job of the batch on the thread pool;
 * **drain** -- :meth:`stop` rejects new work, flushes everything already
   accepted, and only then tears the dispatcher down (the graceful-shutdown
   contract: every accepted request gets a response).
@@ -50,9 +48,7 @@ class BatchConfig:
     max_batch: int = 16         # flush when this many distinct jobs wait
     deadline_s: float = 0.010   # ...or this long after the first arrival
     queue_limit: int = 256      # distinct jobs admitted before 429
-    threads: int = 4            # inline executor width
-    workers: int = 0            # process-pool size for large flushes (0: off)
-    pool_threshold: int = 8     # optimize jobs per flush to engage the pool
+    threads: int = 4            # executor width
     result_cache: int = 512     # completed payloads kept for exact repeats
 
 class Overloaded(Exception):
@@ -208,38 +204,9 @@ class MicroBatcher:
     async def _execute(self, batch: list[_Job]) -> list[tuple]:
         """Run every job; returns ``(payload, None)`` or ``(None, error)``
         per job, in batch order."""
-        pool_jobs = [job for job in batch if job.kind == "optimize"]
-        if (self.config.workers > 1
-                and len(pool_jobs) >= self.config.pool_threshold
-                and self._poolable(pool_jobs)):
-            inline = [job for job in batch if job.kind != "optimize"]
-            pooled_task = self._loop.run_in_executor(
-                self._executor, self._run_pooled, pool_jobs)
-            inline_results = await asyncio.gather(
-                *(self._loop.run_in_executor(self._executor,
-                                             self._run_job, job)
-                  for job in inline))
-            pooled_results = await pooled_task
-            by_job: dict[int, tuple] = {}
-            for job, outcome in zip(inline, inline_results):
-                by_job[id(job)] = outcome
-            for job, outcome in zip(pool_jobs, pooled_results):
-                by_job[id(job)] = outcome
-            return [by_job[id(job)] for job in batch]
         return list(await asyncio.gather(
             *(self._loop.run_in_executor(self._executor, self._run_job, job)
               for job in batch)))
-
-    @staticmethod
-    def _poolable(jobs: list[_Job]) -> bool:
-        """The engine's process pool takes one machine+params per batch.
-        ``simd`` jobs stay on the thread path: they carry the pack
-        report, which ``optimize_many`` does not produce."""
-        head = jobs[0]
-        if head.params.get("simd"):
-            return False
-        return all(job.machine.name == head.machine.name
-                   and job.params == head.params for job in jobs[1:])
 
     # -- the engine calls (executor threads) ---------------------------------
 
@@ -286,27 +253,3 @@ class MicroBatcher:
                                                   unrolled), None
             except Exception as err:
                 return None, err
-
-    def _run_pooled(self, jobs: list[_Job]) -> list[tuple]:
-        """One large homogeneous flush through the engine's process pool."""
-        self.metrics.count("serve.pool_flushes")
-        head = jobs[0]
-        try:
-            with obs.activate(head.trace), \
-                    obs.span("serve.pool_flush", jobs=len(jobs)), \
-                    self.engine.profiler.profile("serve.flush"):
-                report = self.engine.optimize_many(
-                    [job.nest for job in jobs], head.machine,
-                    workers=self.config.workers, **head.params)
-        except Exception as err:
-            return [(None, err) for _ in jobs]
-        outcomes: list[tuple] = []
-        for job, item in zip(jobs, sorted(report.items,
-                                          key=lambda it: it.index)):
-            if item.ok and item.result is not None:
-                outcomes.append((protocol.optimize_payload(
-                    job.nest, job.machine, item.result), None))
-            else:
-                outcomes.append((None, RuntimeError(item.error or
-                                                    "batch item failed")))
-        return outcomes

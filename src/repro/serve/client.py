@@ -18,7 +18,6 @@
   jittered, capped backoff that used to live in the load generator (the
   polite half of the admission-control contract), shared by every verb.
 
-:class:`ServeClient` remains as a deprecated alias, and
 :func:`run_load` / :func:`build_workload` / :func:`wait_for_server`
 drive workloads for ``benchmarks/bench_serve_throughput.py`` and the CI
 smoke job::
@@ -40,8 +39,8 @@ import sys
 import threading
 import time
 
-__all__ = ["Client", "ServeClient", "build_workload", "run_load",
-           "wait_for_server", "main"]
+__all__ = ["Client", "build_workload", "run_load", "wait_for_server",
+           "main"]
 
 TRANSPORTS = ("auto", "json", "binary")
 
@@ -362,19 +361,6 @@ class Client:
         if machine is not None:
             payload["machine"] = machine
         return self.request("POST", f"/v1/{kind}", payload)
-
-class ServeClient(Client):
-    """Deprecated alias of :class:`Client` (v1 JSON transport pinned, the
-    surface this module shipped before the wire v2 redesign)."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8787,
-                 timeout: float = 60.0):
-        from repro.api import warn_deprecated
-
-        warn_deprecated("repro.serve.client.ServeClient",
-                        "repro.serve.client.Client")
-        super().__init__(host, port, timeout=timeout, transport="json",
-                         max_retries=0)
 
 def wait_for_server(host: str, port: int, timeout_s: float = 15.0) -> bool:
     """Poll ``/healthz`` until the server answers or the budget runs out."""

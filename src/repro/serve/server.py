@@ -528,7 +528,6 @@ class AnalysisServer:
                 "deadline_s": self.config.batch.deadline_s,
                 "queue_limit": self.config.batch.queue_limit,
                 "threads": self.config.batch.threads,
-                "workers": self.config.batch.workers,
             },
         }
         if self.config.shard is not None:
@@ -550,7 +549,7 @@ class ServerThread:
     ::
 
         with ServerThread(config) as handle:
-            client = ServeClient("127.0.0.1", handle.port)
+            client = Client("127.0.0.1", handle.port)
     """
 
     def __init__(self, config: ServeConfig | None = None,

@@ -10,6 +10,7 @@ cluster.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import signal
@@ -18,7 +19,10 @@ import time
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterThread
-from repro.serve.client import ServeClient
+from repro.serve.client import Client
+
+#: v1 JSON transport and no 429 retries, so every status reaches the test.
+JsonClient = functools.partial(Client, transport="json", max_retries=0)
 
 def fast_config(**overrides) -> ClusterConfig:
     defaults = dict(workers=2, port=0, probe_interval_s=0.2,
@@ -44,7 +48,7 @@ def cluster():
 
 class TestClusterServing:
     def test_sticky_routing_and_federation(self, cluster, tmp_path_factory):
-        client = ServeClient("127.0.0.1", cluster.port)
+        client = JsonClient("127.0.0.1", cluster.port)
         try:
             # Identical nests always land on the same shard...
             shards = set()
@@ -76,7 +80,7 @@ class TestClusterServing:
             client.close()
 
     def test_error_shapes_match_single_process_serving(self, cluster):
-        client = ServeClient("127.0.0.1", cluster.port)
+        client = JsonClient("127.0.0.1", cluster.port)
         try:
             status, doc = client.optimize("no-such-kernel")
             assert status == 404
@@ -91,7 +95,7 @@ class TestClusterServing:
             client.close()
 
     def test_status_document_and_metrics_cli_format(self, cluster):
-        client = ServeClient("127.0.0.1", cluster.port)
+        client = JsonClient("127.0.0.1", cluster.port)
         try:
             status, doc = client.request("GET", "/cluster/status")
             assert status == 200
@@ -115,7 +119,7 @@ class TestClusterServing:
     def test_per_shard_cache_namespaces(self, tmp_path):
         config = fast_config(cache=True, cache_dir=str(tmp_path))
         with ClusterThread(config) as cached:
-            client = ServeClient("127.0.0.1", cached.port)
+            client = JsonClient("127.0.0.1", cached.port)
             try:
                 for name in ("mmjik", "jacobi", "sor", "dmxpy0"):
                     status, _ = client.optimize(name, bound=3)
@@ -130,7 +134,7 @@ class TestClusterServing:
 class TestSupervision:
     def test_kill9_restart_and_clean_drain(self):
         with ClusterThread(fast_config()) as cluster:
-            client = ServeClient("127.0.0.1", cluster.port)
+            client = JsonClient("127.0.0.1", cluster.port)
             try:
                 status, _ = client.optimize("mmjik", bound=3)
                 assert status == 200
@@ -174,7 +178,7 @@ class TestSupervision:
 
     def test_drain_endpoint_shuts_the_cluster_down(self):
         cluster = ClusterThread(fast_config()).start()
-        client = ServeClient("127.0.0.1", cluster.port)
+        client = JsonClient("127.0.0.1", cluster.port)
         try:
             _, doc = client.request("GET", "/cluster/status")
             pids = [info["pid"] for info

@@ -105,9 +105,15 @@ class TestMemoization:
         engine = AnalysisEngine()
         machine = dec_alpha()
         engine.optimize(_intro_nest(), machine, bound=2)
+        engine.reuse_profile(_intro_nest(), machine)
+        engine.simd_report(_intro_nest(), machine, (1, 0))
         engine.clear()
         engine.optimize(_intro_nest(), machine, bound=2)
+        engine.reuse_profile(_intro_nest(), machine)
+        engine.simd_report(_intro_nest(), machine, (1, 0))
         assert engine.metrics.counter("cache.tables.miss") == 2
+        assert engine.metrics.counter("cache.profile.miss") == 2
+        assert engine.metrics.counter("cache.simd.misses") == 2
 
 class TestBatch:
     @pytest.fixture(scope="class")

@@ -12,7 +12,7 @@ echoes ``tier=exact``, falls back on low-confidence ``tier=auto``
 fast answer against the exact engine asynchronously.
 
 Also rides along: the client's 429 backoff with and without a
-``Retry-After`` hint, and the ``ServeClient`` deprecation warning.
+``Retry-After`` hint.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import random
 import time
-import warnings
 
 import pytest
 
@@ -37,7 +36,7 @@ from repro.predict.train import (Example, TrainConfig, TrainError,
                                  build_artifact, fit_heads, save_artifact)
 from repro.serve import protocol
 from repro.serve.batcher import BatchConfig
-from repro.serve.client import Client, ServeClient
+from repro.serve.client import Client
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import ServeConfig, ServerThread
 
@@ -496,19 +495,3 @@ class TestClientBackoff:
         assert status == 429 and not doc["ok"]
         assert client.last_retries == 2
         assert len(record_sleep) == 2
-
-# -- ServeClient deprecation (satellite) --------------------------------------
-
-class TestDeprecatedAlias:
-    def test_serve_client_warns_once(self):
-        api._WARNED.discard("repro.serve.client.ServeClient")
-        with pytest.warns(DeprecationWarning,
-                          match="ServeClient is deprecated"):
-            ServeClient(port=1)
-        # Once per process: the second construction is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ServeClient(port=1)
-
-    def test_alias_still_is_a_client(self):
-        assert issubclass(ServeClient, Client)

@@ -31,7 +31,7 @@ from repro.engine import AnalysisEngine
 from repro.engine.metrics import BUCKET_BOUNDS, Metrics, StageStats
 from repro.obs import prom
 from repro.serve.batcher import BatchConfig
-from repro.serve.client import ServeClient
+from repro.serve.client import Client
 from repro.serve.server import ServeConfig, ServerThread
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "metrics.prom"
@@ -151,7 +151,8 @@ class TestServeContentNegotiation:
     def server(self):
         config = ServeConfig(port=0, batch=BatchConfig(deadline_s=0.005))
         with ServerThread(config, AnalysisEngine()) as handle:
-            client = ServeClient(port=handle.port)
+            client = Client(port=handle.port, transport="json",
+                            max_retries=0)
             client.optimize("jacobi", bound=2)  # populate some metrics
             yield handle
             client.close()

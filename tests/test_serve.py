@@ -10,6 +10,7 @@ the graceful-shutdown drain (both in-process and as a real
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import os
@@ -25,11 +26,14 @@ import pytest
 from repro import api
 from repro.engine import AnalysisEngine
 from repro.serve.batcher import BatchConfig
-from repro.serve.client import ServeClient, build_workload, run_load
+from repro.serve.client import Client, build_workload, run_load
 from repro.serve.protocol import parse_request, ProtocolError
 from repro.serve.server import ServeConfig, ServerThread
 
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+#: v1 JSON transport and no 429 retries, so every status reaches the test.
+JsonClient = functools.partial(Client, transport="json", max_retries=0)
 
 def _server(**kwargs) -> ServerThread:
     """A fresh server+engine on an ephemeral port."""
@@ -40,7 +44,7 @@ def _server(**kwargs) -> ServerThread:
 class TestEndToEnd:
     def test_optimize_matches_library(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             status, doc = client.optimize("jacobi", bound=4)
             client.close()
         assert status == 200 and doc["ok"]
@@ -55,7 +59,7 @@ class TestEndToEnd:
                  "    A(I, J) = A(I, J) + B(I)\n  ENDDO\nENDDO"
         serialized = api.serialize_nest(api.coerce_nest("jacobi"))
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             by_name = client.optimize("jacobi", bound=3)
             by_source = client.optimize(source, bound=3)
             by_dict = client.optimize(serialized, bound=3)
@@ -67,7 +71,7 @@ class TestEndToEnd:
 
     def test_analyze_and_transform_verbs(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             a_status, analysis = client.analyze("jacobi")
             t_status, transformed = client.transform("jacobi", bound=4)
             e_status, explicit = client.transform("jacobi", unroll=[2, 0])
@@ -81,7 +85,7 @@ class TestEndToEnd:
 
     def test_health_and_metrics_documents(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             client.optimize("jacobi", bound=3)
             h_status, health = client.healthz()
             m_status, metrics = client.metrics()
@@ -97,7 +101,7 @@ class TestEndToEnd:
 class TestErrors:
     def test_unknown_kernel_is_404(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             status, doc = client.optimize("definitely-not-a-kernel")
             client.close()
         assert status == 404
@@ -105,7 +109,7 @@ class TestErrors:
 
     def test_parse_error_is_400(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             status, doc = client.optimize("DO I = 0, N\n  garbage(\nENDDO")
             bad_dict = client.optimize({"source": "DO broken"})
             client.close()
@@ -115,7 +119,7 @@ class TestErrors:
 
     def test_malformed_requests(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             no_nest = client.request("POST", "/v1/optimize", {})
             bad_machine = client.optimize("jacobi", machine="cray")
             bad_field = client.request("POST", "/v1/optimize",
@@ -143,7 +147,7 @@ class TestErrors:
 
     def test_oversized_body_is_413(self):
         with _server(max_body=256) as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             status, doc = client.optimize("DO I = 0, N\n"
                                           + "  A(I) = B(I) * 2\n" * 50
                                           + "ENDDO")
@@ -153,7 +157,7 @@ class TestErrors:
 
     def test_request_timeout_is_504(self):
         with _server(request_timeout_s=0.005) as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             status, doc = client.optimize("mmjik", bound=8)
             client.close()
             assert status == 504 and doc["error"]["type"] == "timeout"
@@ -169,7 +173,7 @@ class TestCoalescing:
             lock = threading.Lock()
 
             def fire():
-                client = ServeClient(port=handle.port)
+                client = JsonClient(port=handle.port)
                 outcome = client.optimize("jacobi", bound=4)
                 client.close()
                 with lock:
@@ -185,7 +189,7 @@ class TestCoalescing:
             assert metrics.counter("engine.optimize") == 1
             assert metrics.counter("serve.coalesced") == 2
             # A later identical request is a serve-side cache hit.
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             late = client.optimize("jacobi", bound=4)
             client.close()
             assert metrics.counter("engine.optimize") == 1
@@ -196,7 +200,7 @@ class TestCoalescing:
 
     def test_distinct_params_do_not_coalesce(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             first = client.optimize("jacobi", bound=2)
             second = client.optimize("jacobi", bound=4)
             client.close()
@@ -206,7 +210,7 @@ class TestCoalescing:
 class TestSimdParam:
     def test_simd_report_matches_library(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             status, doc = client.optimize("jacobi", machine="future",
                                           bound=4, simd=True)
             client.close()
@@ -218,7 +222,7 @@ class TestSimdParam:
 
     def test_simd_and_plain_requests_have_distinct_keys(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             _, plain = client.optimize("jacobi", machine="future", bound=4)
             _, simd = client.optimize("jacobi", machine="future", bound=4,
                                       simd=True)
@@ -226,20 +230,6 @@ class TestSimdParam:
             assert handle.engine.metrics.counter("serve.cache.hit") == 0
         assert "simd" not in plain
         assert "simd" in simd
-
-    def test_simd_jobs_are_not_poolable(self):
-        from repro.serve.batcher import MicroBatcher, _Job
-
-        machine = type("M", (), {"name": "m"})()
-
-        def job(params):
-            return _Job(kind="optimize", key=(), nest=None, machine=machine,
-                        params=params, unroll=None)
-
-        assert not MicroBatcher._poolable([job({"simd": True, "bound": 4}),
-                                           job({"simd": True, "bound": 4})])
-        assert MicroBatcher._poolable([job({"bound": 4}),
-                                       job({"bound": 4})])
 
 class TestBackpressure:
     def test_queue_full_returns_429_with_retry_after(self):
@@ -280,7 +270,7 @@ class TestBackpressure:
             assert set(statuses) <= {200, 429}
             assert all(value and int(value) >= 1 for value in retry_after)
             assert handle.engine.metrics.counter("serve.rejected") >= 1
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             recovered = client.optimize("jacobi", bound=4)
             client.close()
             assert recovered[0] == 200
@@ -311,7 +301,7 @@ class TestBackpressure:
 
     def test_client_exposes_response_headers(self):
         with _server() as handle:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             status, _ = client.optimize("jacobi", bound=4)
             client.close()
         assert status == 200
@@ -326,7 +316,7 @@ class TestGracefulShutdown:
         kernels = ["jacobi", "mmjik", "sor", "afold", "dmxpy1", "shal"]
 
         def fire(name: str) -> None:
-            client = ServeClient(port=handle.port)
+            client = JsonClient(port=handle.port)
             status, _ = client.optimize(name, bound=4)
             client.close()
             with lock:

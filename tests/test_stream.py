@@ -8,12 +8,15 @@ twins without re-running them -- in both the batch and streaming paths.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import api
 from repro.corpus import CorpusConfig, iter_corpus
 from repro.engine import AnalysisEngine, BatchError
 from repro.ir.builder import NestBuilder
+from repro.ir.nodes import LoopNest
 from repro.machine.presets import dec_alpha
 
 def _twin(name, outer="J", inner="I", array="A"):
@@ -68,14 +71,33 @@ class TestBatchDedup:
 
     def test_dedup_with_parallel_workers(self, corpus):
         doubled = list(corpus) + list(corpus)
-        report = AnalysisEngine().optimize_many(doubled, dec_alpha(),
-                                                bound=2, workers=2)
+        engine = AnalysisEngine()
+        report = engine.optimize_many(doubled, dec_alpha(), bound=2,
+                                      workers=2)
         assert [item.index for item in report.items] == \
             list(range(len(doubled)))
         half = len(corpus)
         firsts = [item.result.unroll for item in report.items[:half]]
         seconds = [item.result.unroll for item in report.items[half:]]
         assert firsts == seconds
+        # The pool changes nothing the caller can see.
+        serial_engine = AnalysisEngine()
+        serial = serial_engine.optimize_many(doubled, dec_alpha(), bound=2)
+        assert _decisions(report.items) == _decisions(serial.items)
+        assert engine.metrics.counter("engine.dedup.hits") == \
+            serial_engine.metrics.counter("engine.dedup.hits")
+
+    def test_parallel_batch_spreads_over_chunks(self, corpus):
+        engine = AnalysisEngine()
+        report = engine.optimize_many(corpus[:4], dec_alpha(), bound=2,
+                                      workers=2)
+        assert all(item.ok for item in report.items)
+        counters = engine.metrics.snapshot()["counters"]
+        # The chunk size follows the batch: four nests over two workers
+        # must not travel as one chunk to one worker (unless the sandbox
+        # forced the in-process fallback, which is counted too).
+        assert counters.get("stream.chunks", 0) >= 2 or \
+            counters.get("batch.pool_fallback", 0) > 0
 
 class TestStreamSerial:
     def test_matches_optimize_many(self, corpus):
@@ -166,6 +188,26 @@ class TestStreamParallel:
         assert all(item.ok for item in got)
         assert by_name["a"].result.unroll == by_name["b"].result.unroll
         assert by_name["b"].result.nest.name == "b"
+
+class _WorkerKiller(LoopNest):
+    """A nest whose unpickling ends the pool worker that receives it."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+class TestBrokenPool:
+    def test_dead_worker_fails_items_not_the_batch(self, corpus):
+        killer = _WorkerKiller(corpus[0].name, corpus[0].loops,
+                               corpus[0].body)
+        nests = [killer] + list(corpus)
+        report = AnalysisEngine().optimize_many(nests, dec_alpha(), bound=2,
+                                                workers=2)
+        assert [item.index for item in report.items] == \
+            list(range(len(nests)))
+        assert not report.items[0].ok
+        assert report.items[0].error.startswith("worker failed: ")
+        assert all(item.ok or item.error.startswith("worker failed: ")
+                   for item in report.items)
 
 class TestApiFacade:
     def test_optimize_stream_coerces_and_streams(self):
