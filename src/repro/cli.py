@@ -407,7 +407,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.engine import AnalysisEngine
+    from repro.engine import AnalysisEngine, default_cache_dir
     from repro.serve.batcher import BatchConfig
     from repro.serve.server import ServeConfig, run_server
 
@@ -426,7 +426,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             request_timeout_s=args.timeout,
             drain_grace_s=args.drain_grace,
             metrics_path=args.metrics_out,
-            cache=args.cache, cache_dir=args.cache_dir, trace=args.trace,
+            cache_dir=(str(args.cache_dir or default_cache_dir())
+                       if args.cache else None),
+            trace=args.trace,
             worker_threads=args.threads, worker_batch_max=args.batch_max,
             worker_deadline_ms=args.batch_deadline_ms,
             worker_queue_limit=args.queue_limit,
@@ -493,6 +495,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         stats = disk_cache_stats(args.dir)
         print(f"cache dir: {stats['dir']}")
         print(f"entries:   {stats['entries']}")
+        print(f"ugs sets:  {stats['ugs_entries']}")
         print(f"bytes:     {stats['bytes']}")
     else:
         removed = clear_disk_cache(args.dir)

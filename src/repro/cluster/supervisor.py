@@ -35,6 +35,7 @@ import json
 import os
 import pathlib
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -87,18 +88,18 @@ class ClusterConfig:
     #: Hot structural keys replayed to READY workers after scale/reload
     #: (0 disables speculative pre-warming).
     prewarm_top_k: int = 32
-    #: Directory of the cross-worker mmap-backed shared table store
-    #: (default: <runtime_dir>/shared; "" disables sharing).
-    shared_dir: str | None = None
-    # worker passthrough
-    cache: bool = False
+    #: The one table directory every worker shares (persistent); the
+    #: default is <runtime_dir>/tables, removed with the runtime dir.
     cache_dir: str | None = None
+    # worker passthrough
     trace: bool = False
     worker_threads: int = 4
     worker_batch_max: int = 16
     worker_deadline_ms: float = 10.0
     worker_queue_limit: int = 256
-    runtime_dir: str | None = None  # announce files (default: a tempdir)
+    #: Announce files and the default table dir (default: an owned
+    #: tempdir, created on start and removed on stop).
+    runtime_dir: str | None = None
     worker_extra_args: list[str] = field(default_factory=list)
 
 class Supervisor:
@@ -117,9 +118,10 @@ class Supervisor:
         self._probe_misses: dict[int, int] = {}
         self._task: asyncio.Task | None = None
         self._owns_runtime_dir = config.runtime_dir is None
-        self.runtime_dir = pathlib.Path(
-            config.runtime_dir if config.runtime_dir is not None
-            else tempfile.mkdtemp(prefix="repro-cluster-"))
+        #: An owned runtime dir exists from :meth:`start` to :meth:`stop`.
+        self.runtime_dir: pathlib.Path | None = (
+            None if self._owns_runtime_dir
+            else pathlib.Path(config.runtime_dir))
 
     # -- spawning ------------------------------------------------------------
 
@@ -137,25 +139,16 @@ class Supervisor:
                "--threads", str(cfg.worker_threads),
                "--batch-max", str(cfg.worker_batch_max),
                "--batch-deadline-ms", str(cfg.worker_deadline_ms),
-               "--queue-limit", str(cfg.worker_queue_limit)]
-        if cfg.cache:
-            cmd.append("--cache")
-            if cfg.cache_dir:
-                cmd.extend(["--cache-dir", cfg.cache_dir])
-        shared = self.shared_dir()
-        if shared is not None:
-            cmd.extend(["--shared-dir", str(shared)])
+               "--queue-limit", str(cfg.worker_queue_limit),
+               "--cache-dir", str(self.tables_dir())]
         cmd.extend(cfg.worker_extra_args)
         return cmd
 
-    def shared_dir(self) -> pathlib.Path | None:
-        """The cross-worker shared table store directory (``None`` when
-        sharing is disabled with ``shared_dir=""``)."""
-        if self.config.shared_dir == "":
-            return None
-        if self.config.shared_dir is not None:
-            return pathlib.Path(self.config.shared_dir)
-        return self.runtime_dir / "shared"
+    def tables_dir(self) -> pathlib.Path:
+        """The one disk-tier directory every worker shares."""
+        if self.config.cache_dir:
+            return pathlib.Path(self.config.cache_dir)
+        return self.runtime_dir / "tables"
 
     def _worker_env(self) -> dict:
         env = dict(os.environ)
@@ -193,6 +186,9 @@ class Supervisor:
 
     def start(self) -> None:
         """Spawn the initial fleet and begin monitoring."""
+        if self.runtime_dir is None:
+            self.runtime_dir = pathlib.Path(
+                tempfile.mkdtemp(prefix="repro-cluster-"))
         for slot in range(self.target):
             self.launch(slot)
         self._task = asyncio.get_running_loop().create_task(
@@ -452,13 +448,5 @@ class Supervisor:
                 proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 pass
-        if self._owns_runtime_dir:
-            for path in self.runtime_dir.glob("worker-*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            try:
-                self.runtime_dir.rmdir()
-            except OSError:
-                pass
+        if self._owns_runtime_dir and self.runtime_dir is not None:
+            shutil.rmtree(self.runtime_dir, ignore_errors=True)

@@ -17,17 +17,12 @@ Shard discipline:
 
 * the server is tagged ``shard=<slot>`` so its health/metrics documents
   identify themselves in the router's federated view;
-* with ``--cache``, the on-disk table cache lives under
-  ``<cache-dir>/shard-<slot>`` -- a per-worker namespace.  Together with
-  the router's sticky structural-key routing this gives each cache
-  entry a single writer, so shards never fight over entries (the
-  engine's atomic-replace writes make even accidental sharing safe, but
-  the namespace removes the contention entirely);
-* with ``--shared-dir``, hot unroll tables are shared *across* shards
-  through the mmap-backed read-mostly store
-  (:mod:`repro.engine.shared`): whichever worker builds a table first
-  publishes it, and every other shard -- including ones spawned later
-  by ``scale`` -- reads it straight from the shared page cache.
+* with ``--cache-dir``, the engine's disk tier (:mod:`repro.engine.disk`)
+  lives in that directory, and the supervisor gives every shard the
+  *same* one: whichever worker builds a table (or a per-UGS entry)
+  first publishes it, and every other shard -- including ones spawned
+  later by ``scale`` -- reads it instead of rebuilding.  Publishes are
+  atomic per writer, so shards never see each other's partial entries.
 
 SIGTERM drains gracefully through the serve layer's drain: the listener
 closes, every accepted request is answered, then the process exits 0.
@@ -43,16 +38,11 @@ import pathlib
 import signal
 import sys
 
-from repro.engine import AnalysisEngine, default_cache_dir
+from repro.engine import AnalysisEngine
 from repro.serve.batcher import BatchConfig
 from repro.serve.server import AnalysisServer, ServeConfig
 
-__all__ = ["build_worker_server", "main", "shard_cache_dir"]
-
-def shard_cache_dir(base: str | os.PathLike | None, slot: int) -> pathlib.Path:
-    """The per-worker disk-cache namespace for ``slot``."""
-    root = pathlib.Path(base) if base is not None else default_cache_dir()
-    return root / f"shard-{slot}"
+__all__ = ["build_worker_server", "main"]
 
 def _write_announce(path: pathlib.Path, document: dict) -> None:
     """Write-to-temp + atomic rename: the supervisor never reads a
@@ -63,11 +53,8 @@ def _write_announce(path: pathlib.Path, document: dict) -> None:
     os.replace(tmp, path)
 
 def build_worker_server(args: argparse.Namespace) -> AnalysisServer:
-    cache_dir = None
-    if args.cache:
-        cache_dir = shard_cache_dir(args.cache_dir, args.slot)
-    engine = AnalysisEngine(disk_cache=args.cache, cache_dir=cache_dir,
-                            shared_dir=getattr(args, "shared_dir", None))
+    engine = AnalysisEngine(disk_cache=args.cache_dir is not None,
+                            cache_dir=args.cache_dir)
     config = ServeConfig(
         host=args.host, port=args.port, machine=args.machine,
         max_body=args.max_body, request_timeout_s=args.timeout,
@@ -116,14 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch-max", type=int, default=16)
     parser.add_argument("--batch-deadline-ms", type=float, default=10.0)
     parser.add_argument("--queue-limit", type=int, default=256)
-    parser.add_argument("--cache", action="store_true",
-                        help="per-shard on-disk table cache")
     parser.add_argument("--cache-dir", default=None,
-                        help="cache base; the shard namespace is "
-                             "<dir>/shard-<slot>")
-    parser.add_argument("--shared-dir", default=None,
-                        help="cross-worker mmap-backed shared table "
-                             "store directory (all shards share it)")
+                        help="on-disk table directory (every shard of a "
+                             "cluster shares one); omitted = memory only")
     parser.add_argument("--metrics-out", default=None,
                         help="flush the final metrics snapshot here on "
                              "drain")

@@ -9,10 +9,10 @@ nests and across runs:
   safety bounds, :class:`~repro.unroll.tables.UnrollTables`) is memoized
   behind :meth:`repro.ir.nodes.LoopNest.structural_key` -- structurally
   identical nests (including loop-variable renamings) share one analysis;
-* the in-process memo is a bounded LRU; tables can additionally persist to
-  an on-disk JSON cache (default ``~/.cache/repro/``, override with the
-  ``REPRO_CACHE_DIR`` environment variable) reusing
-  :mod:`repro.unroll.serialize`;
+* the in-process memo is a bounded LRU; whole-nest and per-UGS tables can
+  additionally persist to the on-disk JSON tier of :mod:`repro.engine.disk`
+  (default ``~/.cache/repro/``, override with the ``REPRO_CACHE_DIR``
+  environment variable) reusing :mod:`repro.unroll.serialize`;
 * :meth:`AnalysisEngine.optimize_stream` fans a corpus out over a
   process pool in picklable chunks with per-nest error capture, so one
   malformed nest degrades to a reported failure instead of killing the
@@ -39,10 +39,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover -- type names only
-    from repro.engine.shared import SharedTableStore
     from repro.reuse.profile import NestReuseProfile
 
 from repro.dependence.graph import DependenceGraph, build_dependence_graph
+from repro.engine.disk import (
+    DiskTier,
+    clear_disk_cache,
+    default_cache_dir,
+    disk_cache_stats,
+)
 from repro.engine.metrics import Metrics
 from repro.engine.ugscache import UgsTableCache
 from repro.ir.nodes import LoopNest
@@ -71,13 +76,6 @@ __all__ = [
 
 #: Bump when the on-disk key derivation or payload layout changes.
 DISK_FORMAT_VERSION = 1
-
-def default_cache_dir() -> pathlib.Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return pathlib.Path(override).expanduser()
-    return pathlib.Path.home() / ".cache" / "repro"
 
 class _LRU:
     """A bounded mapping with least-recently-used eviction.
@@ -216,7 +214,8 @@ class AnalysisEngine:
     metrics:
         An existing :class:`Metrics` to record into (default: fresh).
     disk_cache:
-        Persist/look up serialized tables under ``cache_dir``.
+        Persist/look up serialized whole-nest and per-UGS tables under
+        ``cache_dir`` (:mod:`repro.engine.disk`).
     cache_dir:
         On-disk cache location (default :func:`default_cache_dir`).
     ugs_cache:
@@ -230,21 +229,14 @@ class AnalysisEngine:
                  disk_cache: bool = False,
                  cache_dir: str | os.PathLike | None = None,
                  profiler: "_obs_profile.Profiler | None" = None,
-                 shared_dir: str | os.PathLike | None = None,
                  ugs_cache: bool = True):
         self.metrics = metrics if metrics is not None else Metrics()
         self.profiler = (profiler if profiler is not None
                          else _obs_profile.get_profiler())
-        self.disk_cache = disk_cache
         self.cache_dir = (pathlib.Path(cache_dir) if cache_dir is not None
                           else default_cache_dir())
-        #: Cross-process mmap-backed table store (cluster workers share
-        #: one; see repro.engine.shared).  ``None`` = not sharing.
-        self.shared: "SharedTableStore | None" = None
-        if shared_dir is not None:
-            from repro.engine.shared import SharedTableStore
-
-            self.shared = SharedTableStore(shared_dir)
+        #: The cross-process tier (``None`` without ``disk_cache``).
+        self.disk = DiskTier(self.cache_dir) if disk_cache else None
         self._graphs = _LRU(capacity)
         self._artifacts = _LRU(capacity)
         self._tables = _LRU(capacity)
@@ -256,7 +248,7 @@ class AnalysisEngine:
         if ugs_cache:
             self.ugs_cache = UgsTableCache(
                 capacity=max(16 * capacity, 1024), metrics=self.metrics,
-                shared=self.shared)
+                disk=self.disk)
 
     # -- memoized building blocks -------------------------------------------
 
@@ -346,16 +338,10 @@ class AnalysisEngine:
             self.metrics.count("cache.memory.hit")
             return _rebind_tables(cached, nest)
         self.metrics.count("cache.memory.miss")
-        shared = self._load_shared_tables(key, nest)
-        if shared is not None:
-            self.metrics.count("cache.tables.hit")
-            self._tables.put(key, shared)
-            return shared
         loaded = self._load_disk_tables(key, nest)
         if loaded is not None:
             self.metrics.count("cache.tables.hit")
             self._tables.put(key, loaded)
-            self._store_shared_tables(key, loaded)
             return loaded
         self.metrics.count("cache.tables.miss")
         with self.metrics.timer("stage.build_tables"), \
@@ -365,7 +351,6 @@ class AnalysisEngine:
                                   ugs=list(ugs) if ugs is not None else None,
                                   ugs_cache=self.ugs_cache)
         self._tables.put(key, tables)
-        self._store_shared_tables(key, tables)
         self._store_disk_tables(key, tables)
         return tables
 
@@ -580,7 +565,7 @@ class AnalysisEngine:
         try:
             pool = futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
-                initargs=(self.disk_cache, str(self.cache_dir)))
+                initargs=(self.disk is not None, str(self.cache_dir)))
         except (OSError, PermissionError, NotImplementedError):
             self.metrics.count("batch.pool_fallback")
             yield from self._stream_serial(nests, machine, params, window)
@@ -737,19 +722,17 @@ class AnalysisEngine:
                 sorted(self.metrics.counters.items())
                 if name.startswith("cache.")},
             # Per-tier ratios: "tables" is the any-tier aggregate;
-            # memory/shared/disk are the lookup tiers in probe order, and
+            # memory/disk are the lookup tiers in probe order, and
             # "ugs" is the sub-structural per-set cache.  All flow into
             # the Prometheus exposition as repro_cache_hit_rate_<family>.
             "hit_rates": {
                 family: self.metrics.hit_rate(f"cache.{family}")
                 for family in ("graph", "artifacts", "tables", "memory",
-                               "shared", "disk", "ugs")},
-            "disk_enabled": self.disk_cache,
+                               "disk", "ugs")},
+            "disk_enabled": self.disk is not None,
         }
-        if self.disk_cache:
+        if self.disk is not None:
             stats["disk"] = disk_cache_stats(self.cache_dir)
-        if self.shared is not None:
-            stats["shared"] = self.shared.stats()
         return stats
 
     def clear(self) -> None:
@@ -764,45 +747,20 @@ class AnalysisEngine:
 
     # -- disk layer ----------------------------------------------------------
 
-    def _disk_path(self, key: tuple) -> pathlib.Path:
-        return self.cache_dir / f"tables-{self._table_digest(key)}.json"
-
     @staticmethod
-    def _table_digest(key: tuple) -> str:
-        """The stable digest naming a table entry in the disk cache and
-        the shared segment (one derivation, one versioning knob)."""
+    def _disk_name(key: tuple) -> str:
+        """The stable file name of a whole-nest entry (the key derivation
+        is versioned by :data:`DISK_FORMAT_VERSION`)."""
         digest = hashlib.sha256(
             f"v{DISK_FORMAT_VERSION}:{key!r}".encode("utf-8")).hexdigest()
-        return digest[:32]
-
-    def _load_shared_tables(self, key: tuple,
-                            nest: LoopNest) -> UnrollTables | None:
-        if self.shared is None:
-            return None
-        with self.metrics.timer("stage.shared_load"):
-            tables = self.shared.get(self._table_digest(key))
-        if tables is None:
-            self.metrics.count("cache.shared.miss")
-            return None
-        self.metrics.count("cache.shared.hit")
-        return _rebind_tables(tables, nest)
-
-    def _store_shared_tables(self, key: tuple,
-                             tables: UnrollTables) -> None:
-        if self.shared is None:
-            return
-        with self.metrics.timer("stage.shared_store"):
-            if self.shared.put(self._table_digest(key), tables):
-                self.metrics.count("cache.shared.store")
+        return f"tables-{digest[:32]}.json"
 
     def _load_disk_tables(self, key: tuple,
                           nest: LoopNest) -> UnrollTables | None:
-        if not self.disk_cache:
+        if self.disk is None:
             return None
-        path = self._disk_path(key)
-        try:
-            text = path.read_text()
-        except OSError:
+        text = self.disk.read(self._disk_name(key))
+        if text is None:
             self.metrics.count("cache.disk.miss")
             return None
         try:
@@ -814,9 +772,9 @@ class AnalysisEngine:
             # unlinked here -- under concurrent multi-process use another
             # engine may have just atomically replaced it with a fresh
             # valid entry, and unlinking would delete that good work.
-            # The recompute path's write-to-temp + os.replace store
-            # overwrites the corrupt bytes instead, which is safe to
-            # race: last writer wins with a complete entry either way.
+            # The recompute path's atomic publish overwrites the corrupt
+            # bytes instead, which is safe to race: last writer wins
+            # with a complete entry either way.
             self.metrics.count("cache.disk.error")
             self.metrics.count("cache.disk.evict")
             return None
@@ -824,24 +782,13 @@ class AnalysisEngine:
         return _rebind_tables(tables, nest)
 
     def _store_disk_tables(self, key: tuple, tables: UnrollTables) -> None:
-        if not self.disk_cache:
+        if self.disk is None:
             return
-        path = self._disk_path(key)
-        # Write-to-temp + atomic rename: a concurrent reader (another thread
-        # or process) never observes a partially written entry.
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with self.metrics.timer("stage.disk_store"):
-                tmp.write_text(tables_to_json(tables))
-                os.replace(tmp, path)
-            self.metrics.count("cache.disk.store")
-        except OSError:
-            self.metrics.count("cache.disk.error")
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        with self.metrics.timer("stage.disk_store"):
+            stored = self.disk.write(self._disk_name(key),
+                                     tables_to_json(tables))
+        self.metrics.count("cache.disk.store" if stored
+                           else "cache.disk.error")
 
 def _fan_item(rep: BatchItem, index: int, nest: LoopNest) -> BatchItem:
     """A duplicate index's item, cloned from its structural twin's.
@@ -929,34 +876,3 @@ def _optimize_chunk(chunk: _Chunk) -> _ChunkResult:
              if worker_tracer is not None else None)
     return _ChunkResult(items=items, metrics=engine.metrics.snapshot(),
                         spans=spans)
-
-# -- module-level disk-cache utilities ---------------------------------------
-
-def disk_cache_stats(cache_dir: str | os.PathLike | None = None) -> dict:
-    """Entry count and byte total of the on-disk table cache."""
-    directory = (pathlib.Path(cache_dir) if cache_dir is not None
-                 else default_cache_dir())
-    entries = 0
-    total = 0
-    if directory.is_dir():
-        for path in directory.glob("tables-*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-            entries += 1
-    return {"dir": str(directory), "entries": entries, "bytes": total}
-
-def clear_disk_cache(cache_dir: str | os.PathLike | None = None) -> int:
-    """Delete every cached table file; returns how many were removed."""
-    directory = (pathlib.Path(cache_dir) if cache_dir is not None
-                 else default_cache_dir())
-    removed = 0
-    if directory.is_dir():
-        for path in directory.glob("tables-*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-    return removed

@@ -22,9 +22,9 @@ subtracting the first member's constant vector from every member, so
 ``A(I,J)+A(I-1,J)`` and ``A(I+4,J)+A(I+3,J)`` (and the same pattern on a
 differently named array) share one entry.  :class:`UgsTableCache` then
 memoizes :class:`~repro.unroll.tables.UgsTables` under that signature in
-a process-local LRU, optionally backed by the cross-process mmap
-:class:`~repro.engine.shared.SharedTableStore` (UGS entries ride the
-store's generic blob API under a distinct ``ugs-`` key prefix).
+a process-local LRU, optionally backed by the engine's cross-process
+:class:`~repro.engine.disk.DiskTier` (entries persist as
+``ugs-<digest>.json`` next to the whole-nest ``tables-<digest>.json``).
 
 Hits rebind only the ``ugs`` field of the cached entry; every numeric
 table is shared, so a cold nest whose sets were seen in *any* prior nest
@@ -48,8 +48,8 @@ from repro.unroll.space import UnrollSpace
 from repro.unroll.tables import UgsTables
 
 if TYPE_CHECKING:  # pragma: no cover -- type names only
+    from repro.engine.disk import DiskTier
     from repro.engine.metrics import Metrics
-    from repro.engine.shared import SharedTableStore
 
 __all__ = ["UgsTableCache", "ugs_digest", "ugs_signature"]
 
@@ -91,14 +91,14 @@ def ugs_signature(group: UniformlyGeneratedSet, space: UnrollSpace,
     )
 
 def ugs_digest(signature: tuple) -> str:
-    """The stable shared-store key for a signature.  The ``ugs-`` prefix
-    keeps UGS entries disjoint from the engine's whole-nest table digests
-    inside one :class:`SharedTableStore` segment."""
+    """The stable disk-tier key for a signature.  The ``ugs-`` prefix
+    keeps UGS entries disjoint from the engine's whole-nest
+    ``tables-`` entries in one directory."""
     digest = hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()
     return f"ugs-{digest[:32]}"
 
 class UgsTableCache:
-    """Process-local LRU of per-UGS tables, optionally shared cross-process.
+    """Process-local LRU of per-UGS tables, optionally persisted to disk.
 
     Thread-safe (one lock around the recency-ordered map); the entries are
     frozen dataclasses over immutable tables, so sharing them between
@@ -111,12 +111,12 @@ class UgsTableCache:
 
     def __init__(self, capacity: int = 4096,
                  metrics: "Metrics | None" = None,
-                 shared: "SharedTableStore | None" = None):
+                 disk: "DiskTier | None" = None):
         if capacity <= 0:
             raise ValueError("UGS cache capacity must be positive")
         self.capacity = capacity
         self.metrics = metrics
-        self.shared = shared
+        self.disk = disk
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
@@ -136,7 +136,7 @@ class UgsTableCache:
               group: UniformlyGeneratedSet) -> UgsTables | None:
         """The cached tables under ``key`` rebound to ``group``, or
         ``None`` on a full miss.  Probes the in-process LRU first, then
-        the shared segment (promoting shared hits into the LRU)."""
+        the disk tier (promoting disk hits into the LRU)."""
         with self._lock:
             entry = self._data.get(key)
             if entry is not None:
@@ -144,26 +144,22 @@ class UgsTableCache:
         if entry is not None:
             self._count("cache.ugs.hit")
             return replace(entry, ugs=group)
-        entry = self._fetch_shared(key, group)
+        entry = self._fetch_disk(key, group)
         if entry is not None:
             self._count("cache.ugs.hit")
-            self._count("cache.ugs.shared_hit")
+            self._count("cache.ugs.disk_hit")
             self._put(key, entry)
             return entry
         self._count("cache.ugs.miss")
         return None
 
     def store(self, key: tuple, entry: UgsTables) -> None:
-        """Publish freshly built tables under ``key`` (LRU + shared)."""
+        """Publish freshly built tables under ``key`` (LRU + disk)."""
         self._put(key, entry)
         self._count("cache.ugs.store")
-        if self.shared is not None:
-            try:
-                blob = ugs_tables_to_json(entry).encode("utf-8")
-            except Exception:
-                return
-            if self.shared.put_blob(ugs_digest(key), blob):
-                self._count("cache.ugs.shared_store")
+        if self.disk is not None and self.disk.write(
+                f"{ugs_digest(key)}.json", ugs_tables_to_json(entry)):
+            self._count("cache.ugs.disk_store")
 
     def clear(self) -> None:
         with self._lock:
@@ -178,14 +174,14 @@ class UgsTableCache:
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
 
-    def _fetch_shared(self, key: tuple,
-                      group: UniformlyGeneratedSet) -> UgsTables | None:
-        if self.shared is None:
+    def _fetch_disk(self, key: tuple,
+                    group: UniformlyGeneratedSet) -> UgsTables | None:
+        if self.disk is None:
             return None
-        blob = self.shared.get_blob(ugs_digest(key))
-        if blob is None:
+        text = self.disk.read(f"{ugs_digest(key)}.json")
+        if text is None:
             return None
         try:
-            return ugs_tables_from_json(blob.decode("utf-8"), group)
+            return ugs_tables_from_json(text, group)
         except Exception:
-            return None
+            return None  # corrupt entry: a miss, overwritten on store

@@ -77,8 +77,8 @@ def ugs_tables_to_json(entry: UgsTables) -> str:
     The cross-nest UGS cache (:mod:`repro.engine.ugscache`) stores
     entries under a canonical signature that already pins down everything
     numeric; the UGS itself is rebound by the reader, so the payload is
-    pure tables.  Compact separators: these blobs ride the shared mmap
-    segment, where size is capacity.
+    pure tables.  Compact separators: the disk tier holds one such file
+    per distinct set, far more than whole-nest entries.
     """
     payload = {
         "format": "repro-ugs-tables-v1",

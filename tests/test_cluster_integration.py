@@ -116,8 +116,8 @@ class TestClusterServing:
         finally:
             client.close()
 
-    def test_per_shard_cache_namespaces(self, tmp_path):
-        config = fast_config(cache=True, cache_dir=str(tmp_path))
+    def test_workers_share_one_table_dir(self, tmp_path):
+        config = fast_config(cache_dir=str(tmp_path))
         with ClusterThread(config) as cached:
             client = JsonClient("127.0.0.1", cached.port)
             try:
@@ -126,10 +126,28 @@ class TestClusterServing:
                     assert status == 200
             finally:
                 client.close()
-        populated = [child.name for child in tmp_path.iterdir()
-                     if any(child.glob("tables-*.json"))]
-        assert populated  # at least one shard namespace was written
-        assert all(name.startswith("shard-") for name in populated)
+            assert cached.router.supervisor.tables_dir() == tmp_path
+        # Every shard published into the one directory, flat: no
+        # per-shard namespace, and the persistent dir survives the stop.
+        assert list(tmp_path.glob("tables-*.json"))
+        assert list(tmp_path.glob("ugs-*.json"))
+        assert not [child for child in tmp_path.iterdir() if child.is_dir()]
+
+    def test_default_table_dir_is_ephemeral(self):
+        """Without ``cache_dir`` the shared tier lives under the owned
+        runtime dir, and the stop removes the whole runtime dir."""
+        with ClusterThread(fast_config(workers=1)) as handle:
+            supervisor = handle.router.supervisor
+            client = JsonClient("127.0.0.1", handle.port)
+            try:
+                status, _ = client.optimize("jacobi", bound=3)
+                assert status == 200
+            finally:
+                client.close()
+            tables = supervisor.tables_dir()
+            assert tables == supervisor.runtime_dir / "tables"
+            assert list(tables.glob("tables-*.json"))
+        assert not supervisor.runtime_dir.exists()
 
 class TestSupervision:
     def test_kill9_restart_and_clean_drain(self):

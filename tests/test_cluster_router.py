@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pathlib
+import tempfile
 
 from repro.cluster.membership import DRAINING, READY
 from repro.cluster.router import ClusterRouter, SHARD_HEADER
@@ -304,3 +306,15 @@ class TestRouterEndpoints:
             assert status == 400
 
         asyncio.run(scenario())
+
+    def test_unstarted_router_creates_no_runtime_dir(self):
+        """The supervisor's runtime dir appears on start, not on
+        construction: a router that never starts leaves nothing behind."""
+        def leftovers() -> set:
+            return set(pathlib.Path(tempfile.gettempdir())
+                       .glob("repro-cluster-*"))
+
+        before = leftovers()
+        router = make_router()
+        assert router.supervisor.runtime_dir is None
+        assert leftovers() == before

@@ -199,3 +199,39 @@ class TestDiskCache:
         engine.optimize(_intro_nest(), dec_alpha(), bound=2)
         assert clear_disk_cache(tmp_path) == 1
         assert disk_cache_stats(tmp_path)["entries"] == 0
+
+    def test_clear_disk_cache_removes_ugs_entries(self, tmp_path):
+        from repro.engine import clear_disk_cache
+
+        engine = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
+        engine.optimize(_intro_nest(), dec_alpha(), bound=2)
+        stats = disk_cache_stats(tmp_path)
+        assert stats["ugs_entries"] >= 1
+        assert stats["ugs_entries"] == \
+            engine.metrics.counter("cache.ugs.disk_store")
+        clear_disk_cache(tmp_path)
+        assert not list(tmp_path.glob("ugs-*.json"))
+        assert disk_cache_stats(tmp_path)["ugs_entries"] == 0
+
+    def test_second_engine_builds_and_publishes_nothing(self, tmp_path):
+        """A second engine on a warm directory serves every table from
+        disk: no build, and no republish of either entry kind."""
+        machine = dec_alpha()
+        first = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
+        first.optimize(_intro_nest(), machine, bound=3)
+
+        second = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
+        second.optimize(_intro_nest(), machine, bound=3)
+        assert second.metrics.counter("cache.tables.miss") == 0
+        assert second.metrics.counter("cache.disk.store") == 0
+        assert second.metrics.counter("cache.ugs.disk_store") == 0
+
+    def test_disk_stats_in_cache_stats(self, tmp_path):
+        stats = AnalysisEngine(disk_cache=True,
+                               cache_dir=tmp_path).cache_stats()
+        assert stats["disk_enabled"] is True
+        assert set(stats["disk"]) == {"dir", "entries", "ugs_entries",
+                                      "bytes"}
+        assert set(stats["hit_rates"]) == {"graph", "artifacts", "tables",
+                                           "memory", "disk", "ugs"}
+        assert "disk" not in AnalysisEngine().cache_stats()

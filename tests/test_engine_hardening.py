@@ -4,6 +4,7 @@ cache recovery, and histogram-derived latency percentiles."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -52,25 +53,36 @@ class TestConcurrentEngine:
 
     def test_threaded_disk_cache(self, tmp_path):
         """Concurrent writers through the atomic-rename path leave only
-        valid JSON entries behind."""
+        valid JSON entries behind.  The barrier start makes threads
+        publish the same keys at once: each writer's temp file is its
+        own, so no publish fails."""
         engine = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         machine = dec_alpha()
         kernels = all_kernels()[:4]
+        start = threading.Barrier(6, timeout=30)
 
         def hammer() -> None:
+            start.wait()
             for kernel in kernels:
                 engine.optimize(kernel.nest, machine, bound=3)
 
         threads = [threading.Thread(target=hammer) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the publishes finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         entries = list(tmp_path.glob("tables-*.json"))
         assert entries
         for entry in entries:
             json.loads(entry.read_text())  # every entry is complete JSON
         assert not list(tmp_path.glob("*.tmp*"))  # no leftover temp files
+        assert engine.metrics.counter("cache.disk.error") == 0
 
 class TestCorruptDiskCache:
     @pytest.mark.parametrize("mangle", [

@@ -1,4 +1,4 @@
-"""Cross-nest UGS memoization: signature, parity fuzz, shared tier.
+"""Cross-nest UGS memoization: signature, parity fuzz, disk tier.
 
 The contract under test is bit-exactness: tables served from
 :class:`repro.engine.ugscache.UgsTableCache` must be indistinguishable --
@@ -14,8 +14,8 @@ import pytest
 
 from repro.corpus import CorpusConfig, iter_corpus
 from repro.engine import AnalysisEngine
+from repro.engine.disk import DiskTier
 from repro.engine.metrics import Metrics
-from repro.engine.shared import SharedTableStore
 from repro.engine.ugscache import UgsTableCache, ugs_digest, ugs_signature
 from repro.ir.builder import NestBuilder
 from repro.linalg import VectorSpace
@@ -219,19 +219,21 @@ class TestEngineIntegration:
         assert stats["memory"]["ugs"] == 0
 
 class TestSharedTier:
+    """The cross-process tier every engine (and every cluster shard)
+    pointed at one directory shares: the per-file disk tier."""
+
     def test_round_trip_through_shared_store(self, tmp_path):
         nest = _shifted_nest("a", 0)
-        writer = UgsTableCache(metrics=Metrics(),
-                               shared=SharedTableStore(tmp_path))
+        writer = UgsTableCache(metrics=Metrics(), disk=DiskTier(tmp_path))
         build_tables(nest, _space(nest), ugs_cache=writer)
-        assert writer.metrics.counter("cache.ugs.shared_store") == 2
+        assert writer.metrics.counter("cache.ugs.disk_store") == 2
+        assert len(list(tmp_path.glob("ugs-*.json"))) == 2
 
         # A fresh process-local cache on the same directory: both sets
-        # come back from the shared tier, bit-identical.
-        reader = UgsTableCache(metrics=Metrics(),
-                               shared=SharedTableStore(tmp_path))
+        # come back from the disk tier, bit-identical.
+        reader = UgsTableCache(metrics=Metrics(), disk=DiskTier(tmp_path))
         served = build_tables(nest, _space(nest), ugs_cache=reader)
-        assert reader.metrics.counter("cache.ugs.shared_hit") == 2
+        assert reader.metrics.counter("cache.ugs.disk_hit") == 2
         assert tables_to_json(served) == \
             tables_to_json(build_tables(nest, _space(nest)))
 
@@ -239,32 +241,35 @@ class TestSharedTier:
         nest = _shifted_nest("a", 0)
         space = _space(nest)
         loc = innermost_localized_space(nest)
-        # Publish junk under the exact digests the reader will probe:
-        # present blobs that fail to deserialize must degrade to misses.
-        store = SharedTableStore(tmp_path)
+        # Junk under the exact file names the reader will probe: present
+        # entries that fail to deserialize must degrade to misses.
         for group in partition_ugs(nest):
             digest = ugs_digest(ugs_signature(group, space, loc, 4, 100))
-            assert store.put_blob(digest, b"{not json")
-        reader = UgsTableCache(metrics=Metrics(),
-                               shared=SharedTableStore(tmp_path))
+            (tmp_path / f"{digest}.json").write_text("{not json")
+        reader = UgsTableCache(metrics=Metrics(), disk=DiskTier(tmp_path))
         served = build_tables(nest, _space(nest), ugs_cache=reader)
         assert reader.metrics.counter("cache.ugs.miss") == 2
+        assert reader.metrics.counter("cache.ugs.disk_hit") == 0
         assert tables_to_json(served) == \
             tables_to_json(build_tables(nest, _space(nest)))
+        # The rebuild overwrote the junk with loadable entries.
+        again = UgsTableCache(metrics=Metrics(), disk=DiskTier(tmp_path))
+        build_tables(nest, _space(nest), ugs_cache=again)
+        assert again.metrics.counter("cache.ugs.disk_hit") == 2
 
     def test_engine_level_cross_nest_shared_hit(self, tmp_path):
         """Nest B never ran anywhere, but its UGSs match nest A's up to
-        translation/renaming -- a second engine folds A's published
-        per-set tables into B's build."""
+        translation/renaming -- a second engine on the same directory
+        folds A's published per-set tables into B's build."""
         machine = dec_alpha()
-        first = AnalysisEngine(shared_dir=tmp_path)
+        first = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         first.optimize(_shifted_nest("a", 0), machine, bound=3)
 
-        second = AnalysisEngine(shared_dir=tmp_path)
+        second = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         result = second.optimize(_shifted_nest("b", 4, array="Z"),
                                  machine, bound=3)
         counters = second.metrics.snapshot()["counters"]
-        assert counters.get("cache.ugs.shared_hit", 0) >= 1
+        assert counters.get("cache.ugs.disk_hit", 0) >= 1
         fresh = AnalysisEngine(ugs_cache=False).optimize(
             _shifted_nest("b", 4, array="Z"), machine, bound=3)
         assert result.unroll == fresh.unroll
