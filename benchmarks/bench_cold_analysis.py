@@ -5,8 +5,8 @@ the balance search, with every cache empty -- is what a compiler pays on
 first sight of a nest.  This benchmark times it over the 19 Table 2
 kernels twice:
 
-* **fast** -- the optimized pipeline (summed-area tables, shared stream
-  chains, Bareiss elimination, memoized reuse predicates, pruned search);
+* **fast** -- the optimized pipeline (summed-area tables, keyed location
+  classes, Bareiss elimination, the closed-form SIV kernel, pruned search);
 * **seed** -- the retained original algorithms
   (``repro.fastpath.seed_algorithms()`` with ``fast=False, prune=False``),
   the faithful pre-optimization reference.

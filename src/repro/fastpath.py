@@ -1,6 +1,6 @@
 """The switch between the optimized and the seed analysis algorithms.
 
-The cold-path optimizations (summed-area tables, shared stream chains,
+The cold-path optimizations (summed-area tables, keyed location classes,
 Bareiss elimination, the closed-form SIV-separable kernel of
 :mod:`repro.linalg.siv`, pruned search) are exact: they
 return bit-identical results to the original algorithms.  The parity fuzz
@@ -31,8 +31,8 @@ def fast_enabled() -> bool:
 @contextmanager
 def seed_algorithms() -> Iterator[None]:
     """Run the seed (pre-optimization) algorithms for the block: Fraction
-    elimination, rational group-reuse and merge solves, unmemoized spatial
-    relates."""
+    elimination, rational group-reuse and merge solves, union-find table
+    counts."""
     from repro.linalg.matrix import fraction_elimination
 
     global _FAST

@@ -3,10 +3,19 @@
 The paper's central trick is computing, for every unroll vector u, how many
 group-temporal sets, group-spatial sets, register-reuse sets and registers
 the *unrolled* loop will have -- without ever materializing unrolled code.
-This module does that exactly: the copies of a UGS's members form a lattice
-``members x box(u)``, merge relations between lattice nodes come from the
-merge-point solver, and the counts are connected components / chains of
-that lattice.
+The copies of a UGS's members form a lattice ``members x box(u)``, and the
+counts are connected components / chains of that lattice.
+
+Two forms compute them.  :func:`keyed_counts` answers every point of the
+box at once for SIV-separable sets under an axis-spanned localized space
+(the tables' production path): each copy gets a class key row by row, and
+one slab-by-slab sweep over the box counts the classes, runs and chains.
+The union-find counters (:func:`group_count`, :func:`group_count_spatial`,
+:func:`stream_chains`) take merge relations from the merge-point solver
+and answer one point at a time.  They are the oracle the keyed form is
+tested against, the seed construction, the path for every other set, and
+what the ``dims=()`` callers use (scalar replacement, its code generator,
+the prefetch planner and the brute-force baseline).
 
 Everything here is validated against the brute-force baseline that does
 materialize the unrolled body (tests/test_tables_vs_bruteforce.py).
@@ -14,18 +23,18 @@ materialize the unrolled body (tests/test_tables_vs_bruteforce.py).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
-from repro.fastpath import fast_enabled
 from repro.linalg import Matrix, VectorSpace, siv
-from repro.linalg.matrix import int_fraction
+from repro.linalg.matrix import SivRows, int_fraction
 from repro.reuse.ugs import UniformlyGeneratedSet
 from repro.unroll.merge import MergeSolution, solve_merge
-from repro.unroll.space import UnrollVector, box_tuple
+from repro.unroll.space import UnrollSpace, UnrollVector, box_tuple
 
 def used_dims(matrix: Matrix, dims: tuple[int, ...],
               spatial: bool = False) -> tuple[int, ...]:
@@ -223,15 +232,10 @@ def spatial_relations(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
     dim_pos = {dim: pos for pos, dim in enumerate(reduced)}
     consts = ugs.constants()
     depth = matrix.ncols
-    form = siv.closed_form(matrix, localized)
-    if form is not None:
-        rows, axes = form
-        in_space = [entry is not None and entry[0] in axes for entry in rows]
-    else:
-        rows = matrix.siv_rows()
-        in_space = [entry is not None and localized.contains(
-            tuple(int(k == entry[0]) for k in range(depth)))
-            for entry in rows]
+    rows = matrix.siv_rows()
+    in_space = [entry is not None and localized.contains(
+        tuple(int(k == entry[0]) for k in range(depth)))
+        for entry in rows]
 
     relations: list[SpatialRelation] = []
     for i in range(len(consts)):
@@ -306,28 +310,11 @@ def group_count_spatial(ugs: UniformlyGeneratedSet, u: UnrollVector,
     uf = _UnionFind(ugs.size * box_size)
     spans = [range(-u[d], u[d] + 1) for d in reduced]
     diffs = list(product(*spans)) if reduced else [()]
-    memoize = fast_enabled()
     for rel in relations:
-        # The relation predicate depends only on (d, line_size), and the
-        # Mobius table construction revisits the same diffs for every
-        # unroll point of the box -- memoize per relation instance (bypassed
-        # in seed mode so the reference measurement pays the original cost).
-        if memoize:
-            memo = rel.__dict__.get("_relates_memo")
-            if memo is None:
-                memo = {}
-                object.__setattr__(rel, "_relates_memo", memo)
         for d in diffs:
             if rel.i == rel.j and not any(d):
                 continue
-            if memoize:
-                related = memo.get((d, line_size))
-                if related is None:
-                    related = rel.relates(d, line_size)
-                    memo[(d, line_size)] = related
-            else:
-                related = rel.relates(d, line_size)
-            if not related:
+            if not rel.relates(d, line_size):
                 continue
             indices = _clipped_indices(d, sizes)
             if not indices:
@@ -407,26 +394,6 @@ def stream_chains(ugs: UniformlyGeneratedSet, u: UnrollVector,
     current one.  Registers per chain = innermost span + 1
     (Callahan-Carr-Kennedy).
     """
-    return _chains_impl(ugs, u, dims, merges)[0]
-
-def stream_chains_with_groups(ugs: UniformlyGeneratedSet, u: UnrollVector,
-                              dims: tuple[int, ...],
-                              merges: list[PairMerge] | None = None,
-                              ) -> tuple[StreamSummary, int]:
-    """:func:`stream_chains` plus the temporal group count.
-
-    When the cache-localized space *is* the innermost loop (the default),
-    the GTS relation and the stream relation union the same merges over the
-    same lattice, so one union-find serves both: the group count is the
-    component count of the stream forest -- exactly what
-    :func:`group_count` would return for the same merges.
-    """
-    return _chains_impl(ugs, u, dims, merges)
-
-def _chains_impl(ugs: UniformlyGeneratedSet, u: UnrollVector,
-                 dims: tuple[int, ...],
-                 merges: list[PairMerge] | None = None,
-                 ) -> tuple[StreamSummary, int]:
     depth = ugs.matrix.ncols
     inner_space = VectorSpace.spanned_by_axes([depth - 1], depth)
     reduced = used_dims(ugs.matrix, dims, spatial=False)
@@ -487,16 +454,14 @@ def _chains_impl(ugs: UniformlyGeneratedSet, u: UnrollVector,
         # whole innermost loop; its value lives in one register (load
         # hoisted, store sunk) regardless of how many members/copies touch
         # it.
-        components = uf.components()
-        for node_ids in components.values():
+        for node_ids in uf.components().values():
             nodes = [divmod(node, box_size) for node in node_ids]
             nodes = [(member, box[idx]) for member, idx in nodes]
             chains.append(Chain(tuple(nodes), Fraction(0), hoisted=True,
                                 times=tuple(Fraction(0) for _ in nodes)))
-        return StreamSummary(tuple(chains)), len(components)
+        return StreamSummary(tuple(chains))
 
-    components = uf.components()
-    for node_ids in components.values():
+    for node_ids in uf.components().values():
         nodes = [divmod(node, box_size) for node in node_ids]
         nodes = [(member, box[idx]) for member, idx in nodes]
         # Ties in touch time resolve by the textual order of the unrolled
@@ -517,7 +482,7 @@ def _chains_impl(ugs: UniformlyGeneratedSet, u: UnrollVector,
                 current.append((member_idx, b))
         if current:
             chains.append(_close_chain(current, touch_time))
-    return StreamSummary(tuple(chains)), len(components)
+    return StreamSummary(tuple(chains))
 
 def _close_chain(nodes: list[tuple[int, tuple[int, ...]]],
                  touch_time) -> Chain:
@@ -534,6 +499,192 @@ def _close_chain(nodes: list[tuple[int, tuple[int, ...]]],
     span = max(times) - base
     return Chain(tuple(nodes), span,
                  times=tuple(t - base for t in times))
+
+# -- keyed location classes ---------------------------------------------------
+#
+# On an SIV-separable set with an axis-spanned L the union-find relations
+# above are all "equal key" relations: every row of H either pins the copy
+# offset of one unrolled dim, or folds modulo the lattice of an axis of L,
+# or is fixed.  So each copy gets a class key row by row and the counts at
+# every point of the box come from one sweep over the copies, with no
+# union-find and no per-point re-sort.  The derivation and the proof that
+# the classes are the union-find components are in docs/ALGORITHM.md.
+
+KeyRules = tuple[tuple[int | None, int], ...]
+
+def _key_rules(rows: SivRows, axes: tuple[int, ...],
+               pos: dict[int, int]) -> KeyRules:
+    """How each row keys a copy: ``(p, h)`` on ``c_r + h * b[p]`` (driven by
+    the unrolled dim at reduced position p), ``(None, |h|)`` on
+    ``c_r mod |h|`` (driven by an axis of L; checked first), ``(None, 0)``
+    on ``c_r`` (any other row)."""
+    rules = []
+    for col, coef in (entry or (None, 0) for entry in rows):
+        if col in axes:
+            rules.append((None, abs(coef)))
+        elif col in pos:
+            rules.append((pos[col], coef))
+        else:
+            rules.append((None, 0))
+    return tuple(rules)
+
+def _class_key(rules: KeyRules, const: tuple[int, ...],
+               b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c + h * b[p] if p is not None else c % h if h else c
+                 for (p, h), c in zip(rules, const))
+
+def _join_word(words: list[int], word: int, line: int) -> int:
+    """Insert ``word`` into one class's sorted distinct ``words``; returns
+    the change in the number of runs (gaps of at least ``line`` split
+    runs).  A new word joins each neighbour less than a line away, and
+    the two neighbours were one run exactly when they were that close."""
+    k = bisect_left(words, word)
+    if k < len(words) and words[k] == word:
+        return 0
+    below = words[k - 1] if k else None
+    above = words[k] if k < len(words) else None
+    words.insert(k, word)
+    change = 1
+    if below is not None and word - below < line:
+        change -= 1
+    if above is not None and above - word < line:
+        change -= 1
+    if below is not None and above is not None and above - below < line:
+        change += 1
+    return change
+
+def _chain_stats(stream: list[tuple], scale: int) -> tuple[int, int, int]:
+    """(memory ops, registers, writes) of one stream class whose copies are
+    in touch order, less ``writes`` per copy along the unused dims.
+
+    A definition opens a chain unless it leads the stream, and a chain needs
+    its time span plus one register; a definition that leads its touch
+    time cuts the span between it and the previous time out of the total.
+    Touch times are in units of ``1/scale`` and congruent modulo ``scale``
+    within a class.
+    """
+    lead = 0 if stream[0][4] else 1
+    writes = gaps = 0
+    prev = stream[0][0]
+    for time, _, _, _, is_write in stream:
+        if is_write:
+            writes += 1
+            gaps += time - prev
+        prev = time
+    span = stream[-1][0] - stream[0][0]
+    return lead, lead + (span - gaps) // scale, writes
+
+def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
+                 localized: VectorSpace, line_size: int | None,
+                 ) -> Callable[[UnrollVector], tuple[int, ...]] | None:
+    """``u -> (GTS, GSS, memory ops, registers)`` over the box of ``space``
+    from keyed location classes: the values of :func:`group_count`,
+    :func:`group_count_spatial` and :func:`stream_chains` (register L = the
+    innermost loop), or None when the closed form does not cover the set
+    (non-SIV H, L not spanned by axes, seed mode).
+
+    The box over the used dims is swept one slab at a time: for each point
+    p of all but the last dim, a fresh state takes the copies with offset
+    ``b[:-1] <= p`` and ``b[-1] = step`` for step 0, 1, ...; every step's
+    totals are the counts at ``(p, step)``.
+    """
+    matrix = ugs.matrix
+    form = siv.closed_form(matrix, localized)
+    if form is None:
+        return None
+    rows, axes = form
+    reduced = used_dims(matrix, space.dims)
+    unused = tuple(d for d in space.dims if d not in reduced)
+    pos = {d: p for p, d in enumerate(reduced)}
+    sizes, strides, _ = _box_geometry(space.embed(space.bounds), reduced)
+    inner = matrix.ncols - 1
+
+    # GTS: a driven unrolled dim inside L makes merge_parts refuse every
+    # pair, so every copy is its own class.
+    refused = any(entry is not None and entry[0] in pos and entry[0] in axes
+                  for entry in rows)
+    temporal = _key_rules(rows, axes, pos)
+    # GSS: rows >= 1 key the class; row 0 gives the contiguous-word value,
+    # free to move (one run per class) when its driver lies in L.
+    spatial = _key_rules(rows[1:], axes, pos)
+    word_col, word_coef = rows[0] or (None, 0)
+    line = None if word_col in axes else line_size
+    word_pos = pos.get(word_col)
+    stream = _key_rules(rows, (inner,), pos)
+    time_row = next((r for r, entry in enumerate(rows)
+                     if entry is not None and entry[0] == inner), None)
+    scale = abs(rows[time_row][1]) if time_row is not None else 1
+    # touch time -c/h in units of 1/|h|: larger subscripts come earlier
+    sign = -1 if time_row is not None and rows[time_row][1] > 0 else 1
+
+    consts = ugs.constants()
+    records = []
+    for b in box_tuple(sizes):
+        copies = []
+        for i, (c, member) in enumerate(zip(consts, ugs.members)):
+            word = c[0]
+            if word_pos is not None:
+                word += word_coef * b[word_pos]
+            touch = None
+            if time_row is not None:
+                touch = (sign * c[time_row], b, member.position, i,
+                         member.is_write)
+            copies.append(((i, b) if refused else _class_key(temporal, c, b),
+                           _class_key(spatial, c[1:], b), word,
+                           _class_key(stream, c, b), touch))
+        records.append(copies)
+
+    *head_sizes, last = sizes or (1,)
+    values: list[tuple[int, ...]] = [()] * len(records)
+    for p in box_tuple(tuple(head_sizes)):
+        at = sum(x * s for x, s in zip(p, strides))
+        heads = [sum(x * s for x, s in zip(q, strides))
+                 for q in box_tuple(tuple(x + 1 for x in p))]
+        temporal_classes: set = set()
+        runs: dict[tuple, list[int]] = {}
+        streams: dict[tuple, list[tuple]] = {}
+        spatial_sets = memory = registers = writes = 0
+        for step in range(last):
+            for h in heads:
+                for g_t, g_s, word, s_key, touch in records[h + step]:
+                    temporal_classes.add(g_t)
+                    words = runs.get(g_s)
+                    if words is None:
+                        runs[g_s] = [word]
+                        spatial_sets += 1
+                    elif line is not None:
+                        spatial_sets += _join_word(words, word, line)
+                    chain = streams.get(s_key)
+                    if touch is None:
+                        # innermost-invariant: one hoisted register per class
+                        if chain is None:
+                            streams[s_key] = []
+                            registers += 1
+                        continue
+                    if chain is None:
+                        chain = streams[s_key] = []
+                    else:
+                        mem, reg, wr = _chain_stats(chain, scale)
+                        memory -= mem
+                        registers -= reg
+                        writes -= wr
+                    insort(chain, touch)
+                    mem, reg, wr = _chain_stats(chain, scale)
+                    memory += mem
+                    registers += reg
+                    writes += wr
+            values[at + step] = (len(temporal_classes), spatial_sets,
+                                 memory, registers, writes)
+
+    def count(u: UnrollVector) -> tuple[int, ...]:
+        g_t, g_s, mem, reg, wr = values[
+            sum(u[d] * s for d, s in zip(reduced, strides))]
+        copies = 1
+        for d in unused:
+            copies *= u[d] + 1
+        return g_t, g_s, mem + copies * wr, reg + copies * wr
+
+    return count
 
 def is_analyzable(ugs: UniformlyGeneratedSet) -> bool:
     """True when H has at most one non-zero per row and column (§3.5);

@@ -33,35 +33,11 @@ from repro.unroll.streams import (
     group_count,
     group_count_spatial,
     is_analyzable,
+    keyed_counts,
     pairwise_merges,
     spatial_relations,
     stream_chains,
-    stream_chains_with_groups,
-    used_dims,
 )
-
-def _projected_count(count: Callable, dims: tuple[int, ...],
-                     used: tuple[int, ...]) -> Callable:
-    """Memoize a per-point count on the sub-box of the dims it depends on.
-
-    A count that ignores some unrolled dimensions (its H columns there are
-    zero) is constant along them, so the Mobius pass over the full box only
-    needs one evaluation per distinct projection onto the used dims -- a
-    2-D box over a 1-D set collapses from (b+1)^2 evaluations to b+1.
-    """
-    if used == dims:
-        return count
-    cache: dict[tuple[int, ...], tuple] = {}
-
-    def wrapped(u):
-        key = tuple(u[d] for d in used)
-        got = cache.get(key)
-        if got is None:
-            got = count(u)
-            cache[key] = got
-        return got
-
-    return wrapped
 
 class OffsetTable:
     """Per-offset increments over the unroll box, queried by box sum.
@@ -330,6 +306,61 @@ class UnrollTables:
     def all_points(self) -> list[UnrollPoint]:
         return [self.point(u) for u in self.space]
 
+def counted_tables(group: UniformlyGeneratedSet, space: UnrollSpace,
+                   localized: VectorSpace, line_size: int,
+                   fast: bool = True) -> list[OffsetTable]:
+    """The GTS, GSS, RRS and register tables of one set by Mobius inversion
+    of counts evaluated at every box point: union-find lattice counts for
+    an SIV-separable set, one group per copy otherwise.
+
+    :func:`build_tables` takes this path for the sets the keyed classes of
+    :func:`repro.unroll.streams.keyed_counts` do not cover, and for every
+    set in the seed construction (``fast=False``: one evaluation per table
+    and point, scan-only box sums); the parity checks use it as the oracle
+    of the keyed path.
+    """
+    dims = space.dims
+    if is_analyzable(group):
+        inner = VectorSpace.spanned_by_axes([space.depth - 1], space.depth)
+        merges_t = pairwise_merges(group, dims, localized, spatial=False)
+        relations = spatial_relations(group, dims, localized)
+        # register analysis localizes to the innermost loop (section 4.3)
+        merges_r = pairwise_merges(group, dims, inner, spatial=False)
+
+        def count_gts(u):
+            return group_count(group, u, dims, localized, spatial=False,
+                               merges=merges_t)
+
+        def count_gss(u):
+            return group_count_spatial(group, u, dims, localized, line_size,
+                                       relations=relations)
+
+        def streams(u):
+            return stream_chains(group, u, dims, merges=merges_r)
+    else:
+        def count_gts(u):
+            return conservative_group_count(group, u, dims)
+
+        def count_gss(u):
+            return conservative_group_count(group, u, dims, spatial=True)
+
+        def streams(u):
+            return conservative_chains(group, u, dims)
+
+    if fast:
+        def count(u):
+            summary = streams(u)
+            return (count_gts(u), count_gss(u), summary.memory_ops,
+                    summary.registers)
+
+        return OffsetTable.from_counts_multi(space, count, 4)
+    return [OffsetTable.from_counts(space, count_gts, prefix=False),
+            OffsetTable.from_counts(space, count_gss, prefix=False),
+            OffsetTable.from_counts(space, lambda u: streams(u).memory_ops,
+                                    prefix=False),
+            OffsetTable.from_counts(space, lambda u: streams(u).registers,
+                                    prefix=False)]
+
 def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
                  trip: int = 100,
                  localized: VectorSpace | None = None,
@@ -340,10 +371,13 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
     ``localized`` is the cache-localized space (default: innermost loop).
     Register analysis always uses the innermost loop, per section 4.3.
     ``ugs`` optionally supplies the precomputed UGS partition (the engine
-    reuses the one from its analysis artifacts).  ``fast=False`` runs the
-    seed construction -- separate stream-chain evaluations per table and
-    scan-only box sums -- kept for the parity suite and the cold-analysis
-    benchmark's seed measurement.
+    reuses the one from its analysis artifacts).  An SIV-separable set
+    under an axis-spanned ``localized`` is counted from keyed location
+    classes (:func:`repro.unroll.streams.keyed_counts`); every other set
+    goes through :func:`counted_tables`.  ``fast=False`` runs the seed
+    construction -- :func:`counted_tables` for every set, one count per
+    table and scan-only box sums -- kept for the parity suite and the
+    cold-analysis benchmark's seed measurement.
 
     ``ugs_cache`` (a :class:`repro.engine.ugscache.UgsTableCache`, or any
     object with the same ``key_for``/``fetch``/``store`` surface)
@@ -353,7 +387,6 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
     :func:`repro.fastpath.seed_algorithms`) always recompute.
     """
     localized = localized if localized is not None else innermost_localized_space(nest)
-    inner = VectorSpace.spanned_by_axes([nest.depth - 1], nest.depth)
     sets = partition_ugs(nest) if ugs is None else ugs
     use_cache = ugs_cache is not None and fast and fast_enabled()
     per_ugs: list[UgsTables] = []
@@ -367,118 +400,15 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
                 continue
         base, _, _ = self_reuse_base(group.matrix, localized, line_size,
                                      trip)
-        gts = None  # built jointly with the stream tables when shareable
-        if is_analyzable(group):
-            merges_t = pairwise_merges(group, space.dims, localized,
-                                       spatial=False)
-            relations_s = spatial_relations(group, space.dims, localized)
-            # Register analysis localizes to the innermost loop; when the
-            # cache-localized space *is* the innermost loop (the default),
-            # the merge enumeration is argument-identical and shared.
-            if fast and localized == inner:
-                merges_r = merges_t
-            else:
-                merges_r = pairwise_merges(group, space.dims, inner,
-                                           spatial=False)
-
-            def count_gts(u, _ugs=group, _m=merges_t):
-                return group_count(_ugs, u, space.dims, localized,
-                                   spatial=False, merges=_m)
-
-            def count_gss(u, _ugs=group, _r=relations_s):
-                return group_count_spatial(_ugs, u, space.dims, localized,
-                                           line_size, relations=_r)
-
-            if fast:
-                used = used_dims(group.matrix, space.dims, spatial=False)
-                count_gss = _projected_count(count_gss, space.dims, used)
-                read_only = not any(m.is_write for m in group.members)
-                if merges_r is merges_t:
-                    # GTS and the stream forest union the same merges over
-                    # the same lattice: one union-find per point yields the
-                    # group count, the memory ops and the register count.
-                    def count_joint(u, _ugs=group, _m=merges_t):
-                        summary, groups = stream_chains_with_groups(
-                            _ugs, u, space.dims, merges=_m)
-                        return (groups, summary.memory_ops,
-                                summary.registers)
-
-                    if read_only:
-                        # Read-only sets: copies along unsubscripted dims
-                        # are textually identical loads that never split a
-                        # chain, so the summary is constant along them too.
-                        count_joint = _projected_count(count_joint,
-                                                       space.dims, used)
-                    gts, rrs, registers = OffsetTable.from_counts_multi(
-                        space, count_joint, 3)
-                else:
-                    def count_streams(u, _ugs=group, _m=merges_r):
-                        summary = stream_chains(_ugs, u, space.dims,
-                                                merges=_m)
-                        return (summary.memory_ops, summary.registers)
-
-                    count_gts = _projected_count(count_gts, space.dims,
-                                                 used)
-                    if read_only:
-                        count_streams = _projected_count(count_streams,
-                                                         space.dims, used)
-                    gts = OffsetTable.from_counts(space, count_gts)
-                    rrs, registers = OffsetTable.from_counts_multi(
-                        space, count_streams, 2)
-            else:
-                def count_rrs(u, _ugs=group, _m=merges_r):
-                    return stream_chains(_ugs, u, space.dims,
-                                         merges=_m).memory_ops
-
-                def count_reg(u, _ugs=group, _m=merges_r):
-                    return stream_chains(_ugs, u, space.dims,
-                                         merges=_m).registers
-
-                rrs = OffsetTable.from_counts(space, count_rrs, prefix=False)
-                registers = OffsetTable.from_counts(space, count_reg,
-                                                    prefix=False)
+        keyed = (keyed_counts(group, space, localized, line_size)
+                 if fast else None)
+        if keyed is not None:
+            tables = OffsetTable.from_counts_multi(space, keyed, 4)
         else:
-            def count_gts(u, _ugs=group):
-                return conservative_group_count(_ugs, u, space.dims)
-
-            def count_gss(u, _ugs=group):
-                return conservative_group_count(_ugs, u, space.dims,
-                                                spatial=True)
-
-            if fast:
-                def count_streams(u, _ugs=group):
-                    summary = conservative_chains(_ugs, u, space.dims)
-                    return (summary.memory_ops, summary.registers)
-
-                count_gts = _projected_count(
-                    count_gts, space.dims,
-                    used_dims(group.matrix, space.dims, spatial=False))
-                count_gss = _projected_count(
-                    count_gss, space.dims,
-                    used_dims(group.matrix, space.dims, spatial=True))
-                rrs, registers = OffsetTable.from_counts_multi(
-                    space, count_streams, 2)
-            else:
-                def count_rrs(u, _ugs=group):
-                    return conservative_chains(_ugs, u, space.dims).memory_ops
-
-                def count_reg(u, _ugs=group):
-                    return conservative_chains(_ugs, u, space.dims).registers
-
-                rrs = OffsetTable.from_counts(space, count_rrs, prefix=False)
-                registers = OffsetTable.from_counts(space, count_reg,
-                                                    prefix=False)
-
-        if gts is None:
-            gts = OffsetTable.from_counts(space, count_gts, prefix=fast)
-        entry = UgsTables(
-            ugs=group,
-            base_cost=base,
-            gts=gts,
-            gss=OffsetTable.from_counts(space, count_gss, prefix=fast),
-            rrs=rrs,
-            registers=registers,
-        )
+            tables = counted_tables(group, space, localized, line_size, fast)
+        gts, gss, rrs, registers = tables
+        entry = UgsTables(ugs=group, base_cost=base, gts=gts, gss=gss,
+                          rrs=rrs, registers=registers)
         if use_cache:
             ugs_cache.store(cache_key, entry)
         per_ugs.append(entry)
