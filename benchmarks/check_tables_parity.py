@@ -1,4 +1,4 @@
-"""Parity of the keyed and union-find table builds over the perfbench inputs.
+"""Parity of the keyed and pairwise analyses over the perfbench inputs.
 
 For every uniformly generated set of the 1740 seed-1997 perfbench inputs
 (``perfbench/common.workload_nests``) at bound 4, and of a seeded
@@ -8,6 +8,17 @@ union-find tables of :func:`repro.unroll.tables.counted_tables`: the same
 ``base_cost`` and the same GTS, GSS, RRS and register increment dicts.
 The search box of each nest is the paper's (section 4.5), derived from the
 public dependence, safety and locality analyses, on the ``alpha`` machine.
+The integer locality scores of
+:func:`repro.reuse.locality.loop_locality_scores` must equal the pairwise
+Fraction scores of :func:`repro.reuse.locality.pairwise_locality_scores`
+on every input.
+
+A fixed list of hand-built inputs covers shapes no perfbench input has: a
+definition that leads a later touch time in its stream, and strided
+contiguous subscripts (``A(8*I,J)`` beside ``A(8*I+4,J)``).  At both
+bounds their keyed tables must equal the union-find tables, and every
+box point of at most 25 vectors must equal the brute-force measurement
+of :func:`repro.baselines.brute_force.measure_unrolled`.
 
     python benchmarks/check_tables_parity.py
 
@@ -30,11 +41,14 @@ for _path in (_REPO / "src", _REPO / "perfbench"):
 
 from common import DEFAULT_SEED, MAX_LOOPS, TRIP, workload_nests  # noqa: E402
 
+from repro.baselines.brute_force import measure_unrolled  # noqa: E402
 from repro.dependence.graph import build_dependence_graph  # noqa: E402
+from repro.ir.parser import parse_nest  # noqa: E402
 from repro.machine.presets import dec_alpha  # noqa: E402
 from repro.reuse.locality import (  # noqa: E402
     innermost_localized_space,
     loop_locality_scores,
+    pairwise_locality_scores,
     self_reuse_base,
 )
 from repro.reuse.ugs import partition_ugs  # noqa: E402
@@ -45,18 +59,49 @@ from repro.unroll.tables import build_tables, counted_tables  # noqa: E402
 
 INPUTS = 1740
 SLICE = 200
+#: Boxes of at most this many vectors are also checked by brute force.
+BRUTE_FORCE_VECTORS = 25
 
-def search_space(nest, line: int, bound: int) -> UnrollSpace:
+#: (name, unrolled dims, source).  The def ``A(I,K+1)`` leads its stream
+#: and every copy along the unused J writes through; the strided sets
+#: have their contiguous residues half a period apart (a full line either
+#: way round the circle) or one word apart across the wrap.
+HAND_BUILT = (
+    ("def_led", (0, 1), """
+DO I = 1, N
+  DO J = 1, N
+    DO K = 1, N
+      A(I, K+1) = A(I, K) + A(I, K-1) * B(I, J)
+      D(I, K) = A(I, K+2) + A(I-1, K)
+    ENDDO
+  ENDDO
+ENDDO
+"""),
+    ("strided8", (0,), """
+DO J = 1, N
+  DO I = 1, N
+    A(8*I, J) = A(8*I+4, J) + 1.0
+  ENDDO
+ENDDO
+"""),
+    ("strided16", (0,), """
+DO J = 1, N
+  DO I = 1, N
+    A(16*I, J) = A(16*I+8, J) + A(16*I+15, J-1) + 1.0
+  ENDDO
+ENDDO
+"""),
+)
+
+def search_space(nest, line: int, bound: int, scores) -> UnrollSpace:
     graph = build_dependence_graph(nest, include_input=False)
     safety = safe_unroll_bounds(nest, graph)
-    scores = loop_locality_scores(nest, line_size=line)
     dims = select_candidate_loops(nest, safety, MAX_LOOPS, line, scores)
     return UnrollSpace(nest.depth, dims,
                        tuple(min(bound, safety[d]) for d in dims))
 
-def mismatches(nest, line: int, bound: int) -> tuple[int, list[str]]:
-    """(sets checked, what differed) for one nest at one bound."""
-    space = search_space(nest, line, bound)
+def mismatches(nest, space: UnrollSpace, line: int) -> tuple[int, list[str]]:
+    """(sets checked, what differed) for one nest over one box."""
     localized = innermost_localized_space(nest)
     sets = partition_ugs(nest)
     built = build_tables(nest, space, line_size=line, trip=TRIP, ugs=sets)
@@ -73,6 +118,23 @@ def mismatches(nest, line: int, bound: int) -> tuple[int, list[str]]:
                 wrong.append(f"{nest.name} {entry.ugs.pretty()}: {name}")
     return len(built.per_ugs), wrong
 
+def measured_mismatches(nest, space: UnrollSpace, line: int) -> list[str]:
+    """What differs between the tables and the brute-force measurement
+    at any box point (boxes of at most BRUTE_FORCE_VECTORS vectors)."""
+    if len(space) > BRUTE_FORCE_VECTORS:
+        return []
+    built = build_tables(nest, space, line_size=line, trip=TRIP)
+    wrong = []
+    for u in space:
+        have = built.point(u)
+        want = measure_unrolled(nest, u, line_size=line, trip=TRIP)
+        for name in ("gts", "gss", "memory_ops", "registers", "cache_cost"):
+            if getattr(have, name) != getattr(want, name):
+                wrong.append(f"{nest.name} u={u}: {name} "
+                             f"{getattr(have, name)} vs brute force "
+                             f"{getattr(want, name)}")
+    return wrong
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -81,17 +143,47 @@ def main(argv: list[str] | None = None) -> int:
     nests = workload_nests(args.seed, INPUTS)
     sliced = random.Random(args.seed).sample(sorted(nests), SLICE)
     failed = False
+
+    started = time.monotonic()
+    scores = {}
+    for key in sorted(nests):
+        scores[key] = loop_locality_scores(nests[key], line_size=line)
+        want = pairwise_locality_scores(nests[key], line_size=line)
+        if scores[key] != want:
+            print(f"MISMATCH input {key}: locality scores {scores[key]} "
+                  f"vs pairwise {want}")
+            failed = True
+    print(f"locality: {len(scores)} inputs checked "
+          f"in {time.monotonic() - started:.1f}s")
+
     for bound, keys in ((4, sorted(nests)), (8, sorted(sliced))):
         started = time.monotonic()
         checked = 0
         for key in keys:
-            count, wrong = mismatches(nests[key], line, bound)
+            nest = nests[key]
+            space = search_space(nest, line, bound, scores[key])
+            count, wrong = mismatches(nest, space, line)
             checked += count
             for what in wrong:
                 print(f"MISMATCH bound {bound} input {key}: {what}")
             failed = failed or bool(wrong)
         print(f"bound {bound}: {checked} sets of {len(keys)} inputs checked "
               f"in {time.monotonic() - started:.1f}s")
+
+    started = time.monotonic()
+    checked = 0
+    for name, dims, source in HAND_BUILT:
+        nest = parse_nest(source, name=name)
+        for bound in (4, 8):
+            space = UnrollSpace(nest.depth, dims, tuple(bound for _ in dims))
+            count, wrong = mismatches(nest, space, line)
+            wrong += measured_mismatches(nest, space, line)
+            checked += count
+            for what in wrong:
+                print(f"MISMATCH bound {bound} hand-built: {what}")
+            failed = failed or bool(wrong)
+    print(f"hand-built: {checked} sets of {len(HAND_BUILT)} inputs checked "
+          f"at bounds 4 and 8 in {time.monotonic() - started:.1f}s")
     print("tables parity:", "FAIL" if failed else "PASS")
     return 1 if failed else 0
 

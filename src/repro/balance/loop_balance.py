@@ -43,12 +43,15 @@ class BalanceBreakdown:
     miss_term: Fraction
     balance: Fraction
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 def estimated_cycles(memory_ops: Fraction, flops: Fraction,
                      machine: MachineModel) -> Fraction:
     """Resource-bound cycle estimate for one body iteration."""
     return max(memory_ops / machine.mem_issue,
                flops / machine.fp_issue,
-               Fraction(1))
+               _ONE)
 
 def loop_balance(point: "UnrollPoint", machine: MachineModel,
                  include_cache: bool = True,
@@ -62,16 +65,18 @@ def loop_balance(point: "UnrollPoint", machine: MachineModel,
     default) keeps the paper's model bit-for-bit.
     """
     memory_ops = point.memory_ops
-    flops = max(point.flops, Fraction(1))
+    flops = max(point.flops, _ONE)
     if not include_cache:
-        misses = Fraction(0)
+        misses = _ZERO
     elif miss_model is not None:
         misses = miss_model.misses(point)
     else:
         misses = point.cache_cost
     cycles = estimated_cycles(memory_ops, flops, machine)
-    serviced = machine.prefetch_bandwidth * cycles
-    unserviced = max(misses - serviced, Fraction(0))
+    if machine.prefetch_bandwidth:
+        unserviced = max(misses - machine.prefetch_bandwidth * cycles, _ZERO)
+    else:
+        unserviced = max(misses, _ZERO)
     miss_term = unserviced * machine.miss_cost_ratio
     balance = (memory_ops + miss_term) / flops
     return BalanceBreakdown(memory_ops, flops, misses, cycles, unserviced,

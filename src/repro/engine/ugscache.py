@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover -- type names only
 __all__ = ["UgsTableCache", "ugs_digest", "ugs_signature"]
 
 #: Bump when the signature derivation or the serialized payload changes.
-UGS_FORMAT_VERSION = 1
+UGS_FORMAT_VERSION = 2
 
 def ugs_signature(group: UniformlyGeneratedSet, space: UnrollSpace,
                   localized: VectorSpace, line_size: int,

@@ -20,6 +20,7 @@ the shapes it rejects (non-SIV H such as ``B(I+J)``, non-axis L).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from repro.fastpath import fast_enabled
@@ -130,3 +131,108 @@ def merge_parts(rows: SivRows, axes: tuple[int, ...], dims: tuple[int, ...],
         elif need:
             return None
     return k_parts, l_parts
+
+# -- keyed location classes ---------------------------------------------------
+#
+# Under an axis-spanned L every pairwise reuse relation above is an "equal
+# key" relation: each row of H either pins the copy offset of one unrolled
+# dim, or folds modulo the lattice of an axis of L, or is fixed.  The keys
+# below are the one implementation shared by the unroll tables
+# (:func:`repro.unroll.streams.keyed_counts`) and the locality scores
+# (:func:`repro.reuse.locality.loop_locality_scores`); docs/ALGORITHM.md
+# proves that the classes are the union-find components.
+
+KeyRules = tuple[tuple[int | None, int], ...]
+
+def key_rules(rows: SivRows, axes: tuple[int, ...],
+              pos: dict[int, int]) -> KeyRules:
+    """How each row keys a copy: ``(p, h)`` on ``c_r + h * b[p]`` (driven by
+    the unrolled dim at reduced position p), ``(None, |h|)`` on
+    ``c_r mod |h|`` (driven by an axis of L; checked first), ``(None, 0)``
+    on ``c_r`` (any other row)."""
+    rules = []
+    for col, coef in (entry or (None, 0) for entry in rows):
+        if col in axes:
+            rules.append((None, abs(coef)))
+        elif col in pos:
+            rules.append((pos[col], coef))
+        else:
+            rules.append((None, 0))
+    return tuple(rules)
+
+def class_key(rules: KeyRules, const: tuple[int, ...],
+              b: tuple[int, ...]) -> tuple[int, ...]:
+    """The class key of the copy at offset ``b`` of the member with
+    constant vector ``const``."""
+    return tuple(c + h * b[p] if p is not None else c % h if h else c
+                 for (p, h), c in zip(rules, const))
+
+def word_modulus(rows: SivRows, axes: tuple[int, ...]) -> int:
+    """``|h_0|`` when row 0's driver lies in L, else 0.
+
+    Then the contiguous words of a spatial class are residues modulo
+    ``|h_0|`` on a circle: the localized motion slides every copy by
+    multiples of ``|h_0|``, the fold of :func:`spatial_related`."""
+    head = rows[0]
+    return abs(head[1]) if head is not None and head[0] in axes else 0
+
+def word_runs(words: list[int], line: int, modulus: int = 0) -> int:
+    """Runs of the sorted distinct ``words`` of one spatial class: a gap
+    of at least ``line`` splits a run.  With a ``modulus`` the words lie
+    on a circle of that circumference, and the wrap-around gap from the
+    last word to the first joins the outer runs when it is below a line
+    -- the transitive closure of the pairwise circular-distance test."""
+    runs = 1 + sum(1 for a, b in zip(words, words[1:]) if b - a >= line)
+    if modulus and runs > 1 and words[0] + modulus - words[-1] < line:
+        runs -= 1
+    return runs
+
+def join_word(words: list[int], word: int, line: int,
+              modulus: int = 0) -> int:
+    """Insert ``word`` into one class's non-empty sorted distinct
+    ``words``; returns the change in :func:`word_runs`.  On a line a new
+    word joins each neighbour less than a line away, and the two
+    neighbours were one run exactly when they were that close; on a
+    circle the runs are recounted."""
+    k = bisect_left(words, word)
+    if k < len(words) and words[k] == word:
+        return 0
+    if modulus:
+        before = word_runs(words, line, modulus)
+        words.insert(k, word)
+        return word_runs(words, line, modulus) - before
+    below = words[k - 1] if k else None
+    above = words[k] if k < len(words) else None
+    words.insert(k, word)
+    change = 1
+    if below is not None and word - below < line:
+        change -= 1
+    if above is not None and above - word < line:
+        change -= 1
+    if below is not None and above is not None and above - below < line:
+        change += 1
+    return change
+
+def group_counts(rows: SivRows, axes: tuple[int, ...],
+                 consts: list[tuple[int, ...]],
+                 line_size: int | None) -> tuple[int, int]:
+    """(g_T, g_S) of a set's members under the axes of L: the number of
+    temporal class keys, and the runs of contiguous words within each
+    class keyed on rows >= 1 (one run per class when ``line_size`` is
+    None).  Equal to the group-temporal and group-spatial partitions of
+    :mod:`repro.reuse.group`."""
+    if len(consts) == 1:
+        return 1, 1
+    temporal = key_rules(rows, axes, {})
+    spatial = key_rules(rows[1:], axes, {})
+    modulus = word_modulus(rows, axes)
+    classes = set()
+    words: dict[tuple[int, ...], set[int]] = {}
+    for c in consts:
+        classes.add(class_key(temporal, c, ()))
+        words.setdefault(class_key(spatial, c[1:], ()), set()).add(
+            c[0] % modulus if modulus else c[0])
+    if line_size is None:
+        return len(classes), len(words)
+    return len(classes), sum(word_runs(sorted(ws), line_size, modulus)
+                             for ws in words.values())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 @dataclass(frozen=True)
 class MachineModel:
@@ -70,12 +71,12 @@ class MachineModel:
                self.gather_penalty) < 0:
             raise ValueError("vector overhead costs must be non-negative")
 
-    @property
+    @cached_property
     def balance(self) -> Fraction:
         """beta_M = M_rate / F_rate (section 3.1)."""
         return Fraction(self.mem_issue) / Fraction(self.fp_issue)
 
-    @property
+    @cached_property
     def miss_cost_ratio(self) -> Fraction:
         """lambda_m / lambda_c: the memory-op equivalents of one miss."""
         return Fraction(self.miss_penalty, self.cache_access)

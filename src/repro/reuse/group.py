@@ -5,6 +5,12 @@ has a solution x inside the localized vector space L; group-spatial reuse
 uses H_S and ignores the first (contiguous) dimension of the constant
 difference.  Partitions are computed by union-find over the pairwise tests;
 each resulting group is led by its lexicographically smallest member.
+
+The locality scores count g_T and g_S of SIV-separable sets from keyed
+classes instead (:func:`repro.linalg.siv.group_counts`).  The pairwise
+partitions here are the path for every other set and for seed mode, the
+oracle those keyed counts are tested against, and what the brute-force
+baseline measures unrolled bodies with.
 """
 
 from __future__ import annotations

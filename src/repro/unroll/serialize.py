@@ -69,7 +69,7 @@ def tables_to_json(tables: UnrollTables) -> str:
             }
             for entry in tables.per_ugs],
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, separators=(",", ":"))
 
 def ugs_tables_to_json(entry: UgsTables) -> str:
     """Serialize one set's tables *without* its nest or UGS identity.

@@ -23,7 +23,7 @@ materialize the unrolled body (tests/test_tables_vs_bruteforce.py).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +31,7 @@ from itertools import product
 from typing import Callable, Iterator
 
 from repro.linalg import Matrix, VectorSpace, siv
-from repro.linalg.matrix import SivRows, int_fraction
+from repro.linalg.matrix import int_fraction
 from repro.reuse.ugs import UniformlyGeneratedSet
 from repro.unroll.merge import MergeSolution, solve_merge
 from repro.unroll.space import UnrollSpace, UnrollVector, box_tuple
@@ -192,7 +192,12 @@ class SpatialRelation:
     first-dimension residual, after the free (contiguous-dimension)
     offsets move it, stays within a line:
 
-        free_motion  or  |base_residual - sum(h_k * f_k)| < line_size
+        |base_residual - sum(h_k * f_k)| < line_size
+
+    When row 0's driver lies in L the localized motion slides the residual
+    by multiples of ``lattice = |h_0|``, so its distance to the nearest
+    lattice point must stay within a line instead (the fold of
+    :func:`repro.linalg.siv.spatial_related`).
     """
 
     i: int
@@ -202,15 +207,18 @@ class SpatialRelation:
     free_dims: tuple[int, ...]  # positions into the reduced dim tuple
     free_coeffs: tuple[int, ...]
     base_residual: int
-    free_motion: bool
+    lattice: int  # |h_0| when row 0's driver lies in L, else 0
 
     def relates(self, d: tuple[int, ...], line_size: int | None) -> bool:
         """Is offset difference ``d`` (over the reduced dims) related?"""
         for pos, need in zip(self.det_dims, self.det_offset):
             if d[pos] != need:
                 return False
-        if self.free_motion or line_size is None:
+        if line_size is None:
             return True
+        if self.lattice:
+            folded = self.base_residual % self.lattice
+            return min(folded, self.lattice - folded) < line_size
         residual = self.base_residual
         for pos, coef in zip(self.free_dims, self.free_coeffs):
             residual -= coef * d[pos]
@@ -245,7 +253,7 @@ def spatial_relations(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
             free_dims: list[int] = []
             free_coeffs: list[int] = []
             base_residual = delta[0]
-            free_motion = False
+            lattice = 0
             feasible = True
             for row_idx, (entry, in_l) in enumerate(zip(rows, in_space)):
                 driver, coef = entry if entry is not None else (None, 0)
@@ -253,7 +261,7 @@ def spatial_relations(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
                     if driver is None:
                         continue
                     if in_l:
-                        free_motion = True
+                        lattice = abs(coef)
                     elif driver in dim_pos:
                         free_dims.append(dim_pos[driver])
                         free_coeffs.append(coef)
@@ -287,7 +295,7 @@ def spatial_relations(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
                 free_dims=tuple(free_dims),
                 free_coeffs=tuple(free_coeffs),
                 base_residual=base_residual,
-                free_motion=free_motion,
+                lattice=lattice,
             ))
     return relations
 
@@ -507,51 +515,10 @@ def _close_chain(nodes: list[tuple[int, tuple[int, ...]]],
 # offset of one unrolled dim, or folds modulo the lattice of an axis of L,
 # or is fixed.  So each copy gets a class key row by row and the counts at
 # every point of the box come from one sweep over the copies, with no
-# union-find and no per-point re-sort.  The derivation and the proof that
-# the classes are the union-find components are in docs/ALGORITHM.md.
-
-KeyRules = tuple[tuple[int | None, int], ...]
-
-def _key_rules(rows: SivRows, axes: tuple[int, ...],
-               pos: dict[int, int]) -> KeyRules:
-    """How each row keys a copy: ``(p, h)`` on ``c_r + h * b[p]`` (driven by
-    the unrolled dim at reduced position p), ``(None, |h|)`` on
-    ``c_r mod |h|`` (driven by an axis of L; checked first), ``(None, 0)``
-    on ``c_r`` (any other row)."""
-    rules = []
-    for col, coef in (entry or (None, 0) for entry in rows):
-        if col in axes:
-            rules.append((None, abs(coef)))
-        elif col in pos:
-            rules.append((pos[col], coef))
-        else:
-            rules.append((None, 0))
-    return tuple(rules)
-
-def _class_key(rules: KeyRules, const: tuple[int, ...],
-               b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c + h * b[p] if p is not None else c % h if h else c
-                 for (p, h), c in zip(rules, const))
-
-def _join_word(words: list[int], word: int, line: int) -> int:
-    """Insert ``word`` into one class's sorted distinct ``words``; returns
-    the change in the number of runs (gaps of at least ``line`` split
-    runs).  A new word joins each neighbour less than a line away, and
-    the two neighbours were one run exactly when they were that close."""
-    k = bisect_left(words, word)
-    if k < len(words) and words[k] == word:
-        return 0
-    below = words[k - 1] if k else None
-    above = words[k] if k < len(words) else None
-    words.insert(k, word)
-    change = 1
-    if below is not None and word - below < line:
-        change -= 1
-    if above is not None and above - word < line:
-        change -= 1
-    if below is not None and above is not None and above - below < line:
-        change += 1
-    return change
+# union-find and no per-point re-sort.  The keys and the run rule live in
+# :mod:`repro.linalg.siv`, shared with the locality scores; the derivation
+# and the proof that the classes are the union-find components are in
+# docs/ALGORITHM.md.
 
 def _chain_stats(stream: list[tuple], scale: int) -> tuple[int, int, int]:
     """(memory ops, registers, writes) of one stream class whose copies are
@@ -603,14 +570,14 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
     # pair, so every copy is its own class.
     refused = any(entry is not None and entry[0] in pos and entry[0] in axes
                   for entry in rows)
-    temporal = _key_rules(rows, axes, pos)
+    temporal = siv.key_rules(rows, axes, pos)
     # GSS: rows >= 1 key the class; row 0 gives the contiguous-word value,
-    # free to move (one run per class) when its driver lies in L.
-    spatial = _key_rules(rows[1:], axes, pos)
+    # a residue on a circle when its driver lies in L.
+    spatial = siv.key_rules(rows[1:], axes, pos)
+    modulus = siv.word_modulus(rows, axes)
     word_col, word_coef = rows[0] or (None, 0)
-    line = None if word_col in axes else line_size
-    word_pos = pos.get(word_col)
-    stream = _key_rules(rows, (inner,), pos)
+    word_pos = None if modulus else pos.get(word_col)
+    stream = siv.key_rules(rows, (inner,), pos)
     time_row = next((r for r, entry in enumerate(rows)
                      if entry is not None and entry[0] == inner), None)
     scale = abs(rows[time_row][1]) if time_row is not None else 1
@@ -622,16 +589,17 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
     for b in box_tuple(sizes):
         copies = []
         for i, (c, member) in enumerate(zip(consts, ugs.members)):
-            word = c[0]
+            word = c[0] % modulus if modulus else c[0]
             if word_pos is not None:
                 word += word_coef * b[word_pos]
             touch = None
             if time_row is not None:
                 touch = (sign * c[time_row], b, member.position, i,
                          member.is_write)
-            copies.append(((i, b) if refused else _class_key(temporal, c, b),
-                           _class_key(spatial, c[1:], b), word,
-                           _class_key(stream, c, b), touch))
+            copies.append(((i, b) if refused
+                           else siv.class_key(temporal, c, b),
+                           siv.class_key(spatial, c[1:], b), word,
+                           siv.class_key(stream, c, b), touch))
         records.append(copies)
 
     *head_sizes, last = sizes or (1,)
@@ -652,8 +620,9 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
                     if words is None:
                         runs[g_s] = [word]
                         spatial_sets += 1
-                    elif line is not None:
-                        spatial_sets += _join_word(words, word, line)
+                    elif line_size is not None:
+                        spatial_sets += siv.join_word(words, word,
+                                                      line_size, modulus)
                     chain = streams.get(s_key)
                     if touch is None:
                         # innermost-invariant: one hoisted register per class

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import add
 from typing import Callable
 
 from repro.fastpath import fast_enabled
@@ -65,6 +67,16 @@ class OffsetTable:
             strides[i] = strides[i + 1] * self._sizes[i + 1]
         self._strides = tuple(strides)
         self._prefix = self._build_prefix() if prefix else None
+
+    def counts(self) -> list[int] | None:
+        """The value at every box point as plain ints, in row-major order
+        (the inclusive prefix sums), or None when the table has no
+        integral in-box prefix (seed-built, or hand-built with fractional
+        or out-of-box increments)."""
+        prefix = self._prefix
+        if prefix is None or isinstance(prefix[0], Fraction):
+            return None
+        return prefix
 
     def _build_prefix(self) -> list | None:
         """Dense inclusive prefix sums over the box, or None when an
@@ -214,6 +226,18 @@ class UnrollPoint:
     gss: Fraction
     cache_cost: Fraction  # main-memory accesses per unrolled iteration
 
+@dataclass(frozen=True)
+class _Aggregate:
+    """Whole-nest int columns over the box, row-major by ``strides``:
+    memory ops, registers, g_T, g_S, and the cache cost times
+    ``denominator``."""
+
+    strides: tuple[int, ...]
+    sums: list[list[int]]
+    denominator: int
+
+_UNBUILT = object()
+
 class UnrollTables:
     """Precomputed model of a nest over an unroll space (section 4).
 
@@ -229,41 +253,49 @@ class UnrollTables:
         self.line_size = line_size
         self.trip = trip
         self.per_ugs = per_ugs
-        self._base_flops = Fraction(nest.flops_per_iteration())
+        self._base_flops = nest.flops_per_iteration()
         self._points: dict[UnrollVector, UnrollPoint] = {}
         self._fast = fast
-        self._aggregate: dict[str, OffsetTable] | None = None
+        self._aggregate = _UNBUILT
 
-    def _build_aggregate(self) -> dict[str, OffsetTable]:
-        """Whole-nest tables: one summed-area table per model quantity.
+    def _build_aggregate(self) -> "_Aggregate | None":
+        """Whole-nest counts at every box point, or None when some set's
+        table has no integral in-box prefix (then :meth:`_compute_point`
+        accumulates per set).
 
-        Box sums are linear in the increments, so summing the per-UGS
-        increment tables (and folding each set's Equation-1 base factor
-        into a combined cache-cost table) gives tables whose single O(1)
-        box sum equals the per-UGS accumulation of :meth:`_compute_point`
-        exactly -- point queries stop scaling with the number of UGSs.
+        Each set's prefix array already holds its counts at every box
+        point, so the whole-nest counts are their elementwise sums.  The
+        cache cost ``base * (g_S + (g_T - g_S) / ℓ)`` is
+        ``base * (g_T + (ℓ-1) g_S) / ℓ``; over the common denominator
+        ``ℓ * lcm(base denominators)`` each set adds an integer multiple
+        of that weight, so the cache cost too is one int array and one
+        Fraction per point -- equal to the per-set accumulation.
         """
-        line = Fraction(self.line_size)
-        combined: dict[str, dict] = {key: {} for key in
-                                     ("memory_ops", "registers", "gts",
-                                      "gss", "cache_cost")}
+        space = self.space
+        line = self.line_size
+        columns = []
         for entry in self.per_ugs:
-            for key, table in (("memory_ops", entry.rrs),
-                               ("registers", entry.registers),
-                               ("gts", entry.gts), ("gss", entry.gss)):
-                acc = combined[key]
-                for offset, inc in table.increments.items():
-                    acc[offset] = acc.get(offset, 0) + inc
-            cache = combined["cache_cost"]
-            gts_inc = entry.gts.increments
-            gss_inc = entry.gss.increments
-            for offset in gts_inc.keys() | gss_inc.keys():
-                g_t = gts_inc.get(offset, 0)
-                g_s = gss_inc.get(offset, 0)
-                cache[offset] = cache.get(offset, 0) + \
-                    entry.base_cost * (g_s + (g_t - g_s) / line)
-        return {key: OffsetTable(self.space.dims, self.space.bounds, acc)
-                for key, acc in combined.items()}
+            tables = (entry.rrs, entry.registers, entry.gts, entry.gss)
+            if any(t.dims != space.dims or t.bounds != space.bounds
+                   for t in tables):
+                return None
+            counts = [t.counts() for t in tables]
+            if any(c is None for c in counts):
+                return None
+            columns.append((entry.base_cost, counts))
+        scale = 1
+        for base, _ in columns:
+            scale = lcm(scale, base.denominator)
+        sums = [[0] * len(space) for _ in range(5)]
+        for base, (rrs, registers, gts, gss) in columns:
+            factor = base.numerator * (scale // base.denominator)
+            weights = (factor * (t + (line - 1) * g) for t, g in zip(gts, gss))
+            for k, column in enumerate((rrs, registers, gts, gss, weights)):
+                sums[k] = list(map(add, sums[k], column))
+        strides = [1] * len(space.bounds)
+        for i in range(len(strides) - 2, -1, -1):
+            strides[i] = strides[i + 1] * (space.bounds[i + 1] + 1)
+        return _Aggregate(tuple(strides), sums, scale * line)
 
     def point(self, u: UnrollVector) -> UnrollPoint:
         if u not in self._points:
@@ -273,19 +305,22 @@ class UnrollTables:
     def _compute_point(self, u: UnrollVector) -> UnrollPoint:
         if not self.space.contains(u):
             raise ValueError(f"unroll vector {u} outside the table space")
-        reduced = self.space.project(u)
-        flops = self._base_flops * body_copies(u)
+        flops = int_fraction(self._base_flops * body_copies(u))
         if self._fast:
+            if self._aggregate is _UNBUILT:
+                self._aggregate = self._build_aggregate()
             agg = self._aggregate
-            if agg is None:
-                agg = self._aggregate = self._build_aggregate()
-            return UnrollPoint(
-                u, flops,
-                agg["memory_ops"].box_sum(reduced),
-                agg["registers"].box_sum(reduced),
-                agg["gts"].box_sum(reduced),
-                agg["gss"].box_sum(reduced),
-                agg["cache_cost"].box_sum(reduced))
+            if agg is not None:
+                idx = 0
+                for dim, stride in zip(self.space.dims, agg.strides):
+                    idx += u[dim] * stride
+                memory_ops, registers, gts, gss, cost = agg.sums
+                return UnrollPoint(
+                    u, flops, int_fraction(memory_ops[idx]),
+                    int_fraction(registers[idx]), int_fraction(gts[idx]),
+                    int_fraction(gss[idx]),
+                    Fraction(cost[idx], agg.denominator))
+        reduced = self.space.project(u)
         memory_ops = Fraction(0)
         registers = Fraction(0)
         gts_total = Fraction(0)
