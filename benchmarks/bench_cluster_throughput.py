@@ -107,9 +107,8 @@ def run_cluster_benchmark(workers: int = 2, concurrency: int = 8,
         best = max(results, key=lambda r: r["throughput_rps"])
         return dict(best, trials_rps=[r["throughput_rps"] for r in results])
 
-    # Phase 1: the single-process reference, same batch knobs.
-    config = ServeConfig(port=0, batch=BatchConfig(deadline_s=0.005,
-                                                   max_batch=32, threads=4))
+    # Phase 1: the single-process reference, same executor width.
+    config = ServeConfig(port=0, batch=BatchConfig(threads=4))
     with ServerThread(config, AnalysisEngine()) as handle:
         run_load("127.0.0.1", handle.port, _sweep(1),
                  concurrency=concurrency, bound=bound)  # warm the engine
@@ -119,9 +118,7 @@ def run_cluster_benchmark(workers: int = 2, concurrency: int = 8,
 
     # Phase 2 + 3: the sharded cluster.
     cluster_config = ClusterConfig(workers=workers, port=0,
-                                   probe_interval_s=0.25,
-                                   worker_deadline_ms=5.0,
-                                   worker_batch_max=32)
+                                   probe_interval_s=0.25)
     with ClusterThread(cluster_config) as handle:
         probe = Client(port=handle.port, transport="json", max_retries=0)
         run_load("127.0.0.1", handle.port, _sweep(1),

@@ -6,8 +6,8 @@ the 19 Table 2 kernels:
 * **coalescing** -- a workload where 50% of requests duplicate an earlier
   nest completes with engine compute calls (the ``engine.optimize``
   counter) at most 60% of the request count: duplicates ride the
-  micro-batcher's in-flight coalescing or the serve-side result cache
-  instead of recomputing;
+  batcher's in-flight coalescing, its result cache, or the server's v2
+  frame cache instead of recomputing;
 * **sustained throughput** -- a warm multiple-pass sweep over all 19
   kernels, reported as requests/sec with exact client-side latency
   percentiles (and the server's own histogram-derived p50/p95/p99 from
@@ -76,9 +76,7 @@ def run_serve_benchmark(concurrency: int = 8, passes: int = 5,
     if quick:
         concurrency, passes, bound = 4, 2, 3
     kernel_count = len(all_kernels())
-    config = ServeConfig(port=0, batch=BatchConfig(deadline_s=0.005,
-                                                   max_batch=32,
-                                                   threads=4))
+    config = ServeConfig(port=0, batch=BatchConfig(threads=4))
     with ServerThread(config, AnalysisEngine()) as handle:
         probe = Client(port=handle.port, transport="json", max_retries=0)
 
@@ -92,12 +90,16 @@ def run_serve_benchmark(concurrency: int = 8, passes: int = 5,
         coalescing["compute_per_request"] = \
             compute_calls / len(workload)
         counters = probe.metrics()[1]["metrics"]["counters"]
+        # Three places answer a duplicate without compute: a pending twin
+        # (coalescing), the batcher's result LRU, and -- for v2 frames,
+        # before the batcher is reached -- the server's frame cache.
         coalescing["coalesced"] = counters.get("serve.coalesced", 0)
         coalescing["result_cache_hits"] = counters.get("serve.cache.hit", 0)
-        requests = counters.get("serve.requests", 1)
+        coalescing["frame_cache_hits"] = counters.get(
+            "serve.frame_fast_hits", 0)
         coalescing["coalescing_hit_rate"] = \
-            (coalescing["coalesced"] + coalescing["result_cache_hits"]) \
-            / requests
+            (coalescing["coalesced"] + coalescing["result_cache_hits"]
+             + coalescing["frame_cache_hits"]) / len(workload)
 
         # Phase 2: sustained warm throughput, `passes` sweeps of all 19.
         sweep = build_workload(passes * kernel_count, duplicate_fraction=0.0,
@@ -169,8 +171,9 @@ def format_serve(payload: dict) -> str:
         f"({100 * coal['compute_per_request']:.0f}% of requests; "
         f"bar {100 * COMPUTE_RATIO_BAR:.0f}%)",
         f"  coalesced in flight {coal['coalesced']}, result-cache hits "
-        f"{coal['result_cache_hits']} "
-        f"(hit rate {100 * coal['coalescing_hit_rate']:.0f}%)",
+        f"{coal['result_cache_hits']}, frame-cache hits "
+        f"{coal['frame_cache_hits']} "
+        f"(hit rate {100 * coal['coalescing_hit_rate']:.0f}% of requests)",
         f"  2xx rate {100 * coal['rate_2xx']:.1f}%",
         "",
         f"sustained phase ({thr['requests']} warm requests):",
@@ -252,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="record repro.obs spans and write the Chrome "
                              "trace next to the results JSON")
     parser.add_argument("--profile", action="store_true",
-                        help="cProfile the serve flushes and write the "
+                        help="cProfile the served jobs and write the "
                              "top-N summary next to the results JSON")
     args = parser.parse_args(argv)
 

@@ -429,8 +429,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=(str(args.cache_dir or default_cache_dir())
                        if args.cache else None),
             trace=args.trace,
-            worker_threads=args.threads, worker_batch_max=args.batch_max,
-            worker_deadline_ms=args.batch_deadline_ms,
+            worker_threads=args.threads,
             worker_queue_limit=args.queue_limit,
             worker_extra_args=_predict_worker_args(args))
         return run_cluster(cluster)
@@ -441,9 +440,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         metrics_path=args.metrics_out,
         model_path=args.model, predict=not args.no_predict,
         auto_confidence=args.auto_confidence,
-        batch=BatchConfig(max_batch=args.batch_max,
-                          deadline_s=args.batch_deadline_ms / 1000.0,
-                          queue_limit=args.queue_limit,
+        batch=BatchConfig(queue_limit=args.queue_limit,
                           threads=args.threads))
     profiler = obs.Profiler(enabled=True) if args.profile else None
     if args.trace:
@@ -658,12 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--machine", default="alpha",
                          help="default machine preset for requests that "
                               "omit one")
-    p_serve.add_argument("--batch-max", type=int, default=16,
-                         help="flush a batch at this many distinct requests")
-    p_serve.add_argument("--batch-deadline-ms", type=float, default=10.0,
-                         help="...or this many ms after the first arrival")
     p_serve.add_argument("--queue-limit", type=int, default=256,
-                         help="admission queue bound before 429s")
+                         help="distinct pending requests admitted before "
+                              "429s")
     p_serve.add_argument("--threads", type=int, default=4,
                          help="inline executor threads (per worker in "
                               "sharded mode)")
@@ -686,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", default=None,
                          help="override the cache location")
     p_serve.add_argument("--profile", action="store_true",
-                         help="cProfile engine stages and batcher flushes; "
+                         help="cProfile engine stages and served jobs; "
                               "the summary flushes next to --metrics-out")
     p_serve.add_argument("--trace", action="store_true",
                          help="record trace spans (or set REPRO_TRACE=1)")

@@ -94,8 +94,6 @@ class ClusterConfig:
     # worker passthrough
     trace: bool = False
     worker_threads: int = 4
-    worker_batch_max: int = 16
-    worker_deadline_ms: float = 10.0
     worker_queue_limit: int = 256
     #: Announce files and the default table dir (default: an owned
     #: tempdir, created on start and removed on stop).
@@ -137,8 +135,6 @@ class Supervisor:
                "--timeout", str(cfg.request_timeout_s),
                "--max-body", str(cfg.max_body),
                "--threads", str(cfg.worker_threads),
-               "--batch-max", str(cfg.worker_batch_max),
-               "--batch-deadline-ms", str(cfg.worker_deadline_ms),
                "--queue-limit", str(cfg.worker_queue_limit),
                "--cache-dir", str(self.tables_dir())]
         cmd.extend(cfg.worker_extra_args)

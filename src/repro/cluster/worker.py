@@ -1,8 +1,8 @@
 """The cluster worker: one warm engine behind the serve stack, announced.
 
 ``python -m repro.cluster.worker --slot N --announce PATH`` hosts a
-:class:`~repro.serve.server.AnalysisServer` (the full micro-batching /
-coalescing / backpressure stack of docs/SERVING.md) on an ephemeral
+:class:`~repro.serve.server.AnalysisServer` (the full coalescing /
+result-cache / backpressure stack of docs/SERVING.md) on an ephemeral
 loopback port and *announces* the bound port by atomically writing a
 small JSON document to ``PATH``::
 
@@ -62,9 +62,7 @@ def build_worker_server(args: argparse.Namespace) -> AnalysisServer:
         model_path=getattr(args, "model", None),
         predict=not getattr(args, "no_predict", False),
         auto_confidence=getattr(args, "auto_confidence", None),
-        batch=BatchConfig(max_batch=args.batch_max,
-                          deadline_s=args.batch_deadline_ms / 1000.0,
-                          queue_limit=args.queue_limit,
+        batch=BatchConfig(queue_limit=args.queue_limit,
                           threads=args.threads))
     return AnalysisServer(config, engine)
 
@@ -100,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=30.0)
     parser.add_argument("--max-body", type=int, default=64 * 1024)
     parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--batch-max", type=int, default=16)
-    parser.add_argument("--batch-deadline-ms", type=float, default=10.0)
     parser.add_argument("--queue-limit", type=int, default=256)
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk table directory (every shard of a "

@@ -168,6 +168,12 @@ class Metrics:
         with self._lock:
             return self.counters.get(name, 0)
 
+    def mean_s(self, stage: str) -> float:
+        """Mean seconds of one ``stage``; 0.0 when it never ran."""
+        with self._lock:
+            stats = self.stages.get(stage)
+            return stats.mean if stats is not None else 0.0
+
     def hit_rate(self, family: str) -> float:
         """``hits / (hits + misses)`` for a ``<family>.hit``/``.miss``
         counter pair; 0.0 when the family was never probed."""

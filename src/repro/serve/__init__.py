@@ -7,9 +7,9 @@ structural-key caches answers unroll-and-jam queries for every client:
 * :mod:`repro.serve.server` -- the stdlib-only HTTP front end
   (``POST /v1/analyze|optimize|transform``, ``GET /healthz|/metrics``),
   graceful shutdown, request-size limits, per-request timeouts;
-* :mod:`repro.serve.batcher` -- dynamic micro-batching with duplicate
-  coalescing, a bounded admission queue (429 backpressure), and
-  size-or-deadline flushes into the engine;
+* :mod:`repro.serve.batcher` -- duplicate coalescing, a result LRU,
+  bounded admission (429 backpressure), and dispatch on admission into
+  the engine's thread pool;
 * :mod:`repro.serve.protocol` -- the JSON wire shapes and structured
   errors;
 * :mod:`repro.serve.client` -- a keep-alive client and the load

@@ -68,7 +68,7 @@ TRACE_ID_HEADER = "x-repro-trace-id"
 PARENT_ID_HEADER = "x-repro-parent-id"
 
 class ServeConfig:
-    """Server-level knobs; batching knobs live in :class:`BatchConfig`."""
+    """Server-level knobs; admission knobs live in :class:`BatchConfig`."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
                  machine: str = "alpha", max_body: int = 64 * 1024,
@@ -524,8 +524,6 @@ class AnalysisServer:
             "frame_cache": {"entries": len(self._frame_cache),
                             "capacity": self.config.frame_cache},
             "batch_config": {
-                "max_batch": self.config.batch.max_batch,
-                "deadline_s": self.config.batch.deadline_s,
                 "queue_limit": self.config.batch.queue_limit,
                 "threads": self.config.batch.threads,
             },

@@ -20,6 +20,7 @@ from repro.dependence.graph import DependenceGraph, build_dependence_graph
 from repro.ir.nodes import LoopNest
 from repro.machine.model import MachineModel
 from repro.reuse.locality import loop_locality_scores
+from repro.reuse.ugs import partition_ugs
 from repro.unroll.safety import safe_unroll_bounds
 from repro.unroll.space import (
     DEFAULT_BOUND,
@@ -213,6 +214,13 @@ def choose_unroll(nest: LoopNest, machine: MachineModel,
             graph = build_dependence_graph(nest, include_input=False)
         safety = safe_unroll_bounds(nest, graph)
     line_size = machine.cache_line_words
+    if scores is None:
+        # One partition serves the locality scores and the tables.  The
+        # scores keep loop_locality_scores' default trip, not ``trip``,
+        # so the chosen loops stay those select_candidate_loops picks.
+        if ugs is None:
+            ugs = partition_ugs(nest)
+        scores = loop_locality_scores(nest, line_size=line_size, ugs=ugs)
     candidates = select_candidate_loops(nest, safety, max_loops, line_size,
                                         scores=scores)
     bounds = tuple(min(bound, safety[level]) for level in candidates)

@@ -1,6 +1,7 @@
 """Balance model and optimizer tests, anchored on the paper's worked
 introduction example (section 3.3)."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from repro.balance import estimated_cycles, loop_balance, objective
 from repro.baselines.brute_force import brute_force_choose, measure_unrolled
 from repro.ir.builder import NestBuilder
+from repro.kernels import all_kernels, kernel_by_name
 from repro.machine import MachineModel, dec_alpha, hp_pa_risc
+from repro.reuse import ugs as ugs_module
+from repro.reuse.locality import loop_locality_scores
 from repro.unroll.optimize import choose_unroll, select_candidate_loops
 from repro.unroll.safety import safe_unroll_bounds
 from repro.unroll.space import UnrollSpace
@@ -136,6 +140,35 @@ class TestOptimizer:
     def test_feasible_flag(self):
         result = choose_unroll(intro_nest(), dec_alpha(), bound=4)
         assert result.feasible
+
+    def test_one_partition_per_direct_call(self, monkeypatch):
+        """Without ``ugs`` or ``scores``, the locality scores and the
+        tables share one UGS partition."""
+        original = ugs_module.partition_ugs
+        calls = []
+
+        def counting(nest):
+            calls.append(nest.name)
+            return original(nest)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "partition_ugs", None) is original:
+                monkeypatch.setattr(module, "partition_ugs", counting)
+        choose_unroll(kernel_by_name("jacobi").nest, dec_alpha())
+        assert calls == ["jacobi"]
+
+    def test_shared_partition_keeps_table2_decisions(self):
+        """Scores computed separately (the path before the partition was
+        shared) pick the same vector on every Table 2 kernel."""
+        m = dec_alpha()
+        for kernel in all_kernels():
+            shared = choose_unroll(kernel.nest, m)
+            separate = choose_unroll(
+                kernel.nest, m, scores=loop_locality_scores(
+                    kernel.nest, line_size=m.cache_line_words))
+            assert shared.unroll == separate.unroll, kernel.name
+            assert shared.objective == separate.objective, kernel.name
+            assert shared.feasible == separate.feasible, kernel.name
 
 class TestMachineModel:
     def test_balance_property(self):

@@ -35,7 +35,6 @@ from repro.predict.model import (ModelFormatError, Prediction,
 from repro.predict.train import (Example, TrainConfig, TrainError,
                                  build_artifact, fit_heads, save_artifact)
 from repro.serve import protocol
-from repro.serve.batcher import BatchConfig
 from repro.serve.client import Client
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import ServeConfig, ServerThread
@@ -50,8 +49,7 @@ JACOBI_SOURCE = (
 )
 
 def _server(**kwargs) -> ServerThread:
-    batch = kwargs.pop("batch", None) or BatchConfig(deadline_s=0.005)
-    config = ServeConfig(port=0, batch=batch, **kwargs)
+    config = ServeConfig(port=0, **kwargs)
     return ServerThread(config, AnalysisEngine())
 
 def _counters(client: Client) -> dict:

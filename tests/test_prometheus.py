@@ -30,7 +30,6 @@ from repro.cli import main as cli_main
 from repro.engine import AnalysisEngine
 from repro.engine.metrics import BUCKET_BOUNDS, Metrics, StageStats
 from repro.obs import prom
-from repro.serve.batcher import BatchConfig
 from repro.serve.client import Client
 from repro.serve.server import ServeConfig, ServerThread
 
@@ -149,7 +148,7 @@ class TestExpositionInvariants:
 class TestServeContentNegotiation:
     @pytest.fixture(scope="class")
     def server(self):
-        config = ServeConfig(port=0, batch=BatchConfig(deadline_s=0.005))
+        config = ServeConfig(port=0)
         with ServerThread(config, AnalysisEngine()) as handle:
             client = Client(port=handle.port, transport="json",
                             max_retries=0)

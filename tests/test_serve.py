@@ -10,12 +10,14 @@ the graceful-shutdown drain (both in-process and as a real
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import http.client
 import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -25,7 +27,7 @@ import pytest
 
 from repro import api
 from repro.engine import AnalysisEngine
-from repro.serve.batcher import BatchConfig
+from repro.serve.batcher import BatchConfig, MicroBatcher, Overloaded
 from repro.serve.client import Client, build_workload, run_load
 from repro.serve.protocol import parse_request, ProtocolError
 from repro.serve.server import ServeConfig, ServerThread
@@ -35,11 +37,52 @@ _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 #: v1 JSON transport and no 429 retries, so every status reaches the test.
 JsonClient = functools.partial(Client, transport="json", max_retries=0)
 
-def _server(**kwargs) -> ServerThread:
+def _server(engine: AnalysisEngine | None = None,
+            **kwargs) -> ServerThread:
     """A fresh server+engine on an ephemeral port."""
-    batch = kwargs.pop("batch", None) or BatchConfig(deadline_s=0.005)
-    config = ServeConfig(port=0, batch=batch, **kwargs)
-    return ServerThread(config, AnalysisEngine())
+    config = ServeConfig(port=0, **kwargs)
+    return ServerThread(config, engine or AnalysisEngine())
+
+class _GatedEngine(AnalysisEngine):
+    """An engine whose ``optimize`` blocks until :attr:`release` is set,
+    so a test decides when a job finishes instead of racing a timer."""
+
+    def __init__(self):
+        super().__init__()
+        self.release = threading.Event()
+        self.started = threading.Semaphore(0)
+
+    def optimize(self, *args, **kwargs):
+        self.started.release()
+        assert self.release.wait(timeout=30), "gate never released"
+        return super().optimize(*args, **kwargs)
+
+def _wait_until(predicate, timeout_s: float = 30.0) -> None:
+    """Poll ``predicate`` until it holds; fail after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+def _accepts_connections(port: int) -> bool:
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=1).close()
+    except OSError:
+        return False
+    return True
+
+def _fire_optimize(port: int, name: str, results: list,
+                   lock: threading.Lock) -> threading.Thread:
+    def fire():
+        client = JsonClient(port=port)
+        outcome = client.optimize(name, bound=4)
+        client.close()
+        with lock:
+            results.append(outcome)
+
+    thread = threading.Thread(target=fire)
+    thread.start()
+    return thread
 
 class TestEndToEnd:
     def test_optimize_matches_library(self):
@@ -156,35 +199,38 @@ class TestErrors:
         assert doc["error"]["type"] == "payload_too_large"
 
     def test_request_timeout_is_504(self):
-        with _server(request_timeout_s=0.005) as handle:
+        # The engine call is held at the gate until the timeout has fired.
+        engine = _GatedEngine()
+        with _server(engine, request_timeout_s=0.005) as handle:
             client = JsonClient(port=handle.port)
-            status, doc = client.optimize("mmjik", bound=8)
+            try:
+                status, doc = client.optimize("mmjik", bound=8)
+            finally:
+                engine.release.set()
             client.close()
             assert status == 504 and doc["error"]["type"] == "timeout"
             assert handle.engine.metrics.counter("serve.timeouts") == 1
 
 class TestCoalescing:
     def test_concurrent_duplicates_share_one_computation(self):
-        # A generous deadline holds the batch open long enough that both
-        # identical requests land in the same flush window.
-        batch = BatchConfig(deadline_s=0.25, max_batch=16)
-        with _server(batch=batch) as handle:
+        # The first request's engine call is held at the gate, so both
+        # twins arrive while it is in flight and attach to it.
+        engine = _GatedEngine()
+        with _server(engine) as handle:
             results: list[tuple[int, dict]] = []
             lock = threading.Lock()
-
-            def fire():
-                client = JsonClient(port=handle.port)
-                outcome = client.optimize("jacobi", bound=4)
-                client.close()
-                with lock:
-                    results.append(outcome)
-
-            threads = [threading.Thread(target=fire) for _ in range(3)]
-            for thread in threads:
-                thread.start()
+            metrics = handle.engine.metrics
+            try:
+                threads = [_fire_optimize(handle.port, "jacobi", results,
+                                          lock)]
+                assert engine.started.acquire(timeout=30)
+                threads += [_fire_optimize(handle.port, "jacobi", results,
+                                           lock) for _ in range(2)]
+                _wait_until(lambda: metrics.counter("serve.coalesced") == 2)
+            finally:
+                engine.release.set()
             for thread in threads:
                 thread.join()
-            metrics = handle.engine.metrics
             # All three answered identically from ONE engine computation.
             assert metrics.counter("engine.optimize") == 1
             assert metrics.counter("serve.coalesced") == 2
@@ -197,6 +243,37 @@ class TestCoalescing:
         assert [status for status, _ in results] == [200, 200, 200]
         vectors = {tuple(doc["unroll"]) for _, doc in results}
         assert len(vectors) == 1 and tuple(late[1]["unroll"]) in vectors
+
+    def test_admitted_job_starts_without_waiting(self):
+        # One executor thread and two distinct jobs: the first starts on
+        # admission (no window to wait out), the second is admitted and
+        # waits for the thread.
+        engine = _GatedEngine()
+        with _server(engine, batch=BatchConfig(threads=1)) as handle:
+            results: list[tuple[int, dict]] = []
+            lock = threading.Lock()
+            probe = JsonClient(port=handle.port)
+            try:
+                threads = [_fire_optimize(handle.port, "jacobi", results,
+                                          lock)]
+                assert engine.started.acquire(timeout=30)
+                threads.append(_fire_optimize(handle.port, "sor", results,
+                                              lock))
+                _wait_until(lambda: probe.healthz()[1]["in_flight"] == 2)
+                _, health = probe.healthz()
+                assert health["in_flight"] == 2
+                assert health["queue_depth"] == 1
+            finally:
+                engine.release.set()
+            for thread in threads:
+                thread.join()
+            _, health = probe.healthz()
+            probe.close()
+            assert health["in_flight"] == health["queue_depth"] == 0
+            assert engine.metrics.counter("engine.optimize") == 2
+            waits = engine.metrics.snapshot()["stages"]["serve.queue_wait"]
+            assert waits["count"] == 2
+        assert sorted(status for status, _ in results) == [200, 200]
 
     def test_distinct_params_do_not_coalesce(self):
         with _server() as handle:
@@ -233,10 +310,9 @@ class TestSimdParam:
 
 class TestBackpressure:
     def test_queue_full_returns_429_with_retry_after(self):
-        # One-job queue, one-at-a-time flushes, single worker thread: a
-        # burst of distinct cold requests must overflow admission.
-        batch = BatchConfig(queue_limit=1, max_batch=1, deadline_s=0.005,
-                            threads=1)
+        # One pending job at a time on a single worker thread: a burst
+        # of distinct cold requests must overflow admission.
+        batch = BatchConfig(queue_limit=1, threads=1)
         kernels = ["jacobi", "mmjik", "sor", "afold", "dmxpy1",
                    "vpenta.7", "gmtry.3", "btrix.1"]
         with _server(batch=batch) as handle:
@@ -275,12 +351,47 @@ class TestBackpressure:
             client.close()
             assert recovered[0] == 200
 
+    @pytest.mark.parametrize("means, queue_limit, threads, expected", [
+        # Four pending jobs x a seeded 1.5 s mean optimize over two
+        # threads: ceil(3.0) = 3 s.
+        ([1.5, 1.5, 1.5], 4, 2, 3),
+        # Nothing measured yet: never advise less than a second.
+        ([], 1, 4, 1),
+    ])
+    def test_retry_after_from_measured_optimize_mean(self, means,
+                                                     queue_limit, threads,
+                                                     expected):
+        engine = _GatedEngine()
+        for seconds in means:
+            engine.metrics.observe("stage.optimize", seconds)
+        batcher = MicroBatcher(engine, BatchConfig(queue_limit=queue_limit,
+                                                   threads=threads))
+        nest = api.coerce_nest("jacobi")
+        machine = api.coerce_machine("alpha")
+
+        async def scenario() -> int:
+            batcher.start()
+            futures = [batcher.submit("optimize", ("key", n), nest, machine,
+                                      {"bound": 2})
+                       for n in range(queue_limit)]
+            try:
+                with pytest.raises(Overloaded) as err:
+                    batcher.submit("optimize", ("key", queue_limit), nest,
+                                   machine, {"bound": 2})
+            finally:
+                engine.release.set()
+            await asyncio.gather(*futures)
+            await batcher.stop()
+            return err.value.retry_after_s
+
+        assert asyncio.run(scenario()) == expected
+        assert engine.metrics.counter("serve.rejected") == 1
+
     def test_load_generator_retries_429_honoring_retry_after(self):
         """The same overflow-prone server, driven through run_load:
         the generator's capped jittered backoff (seeded by the server's
         Retry-After) must convert shed requests into eventual 200s."""
-        batch = BatchConfig(queue_limit=1, max_batch=1, deadline_s=0.005,
-                            threads=1)
+        batch = BatchConfig(queue_limit=1, threads=1)
         kernels = ["jacobi", "mmjik", "sor", "afold", "dmxpy1",
                    "vpenta.7", "gmtry.3", "btrix.1"]
         with _server(batch=batch) as handle:
@@ -309,28 +420,27 @@ class TestBackpressure:
 
 class TestGracefulShutdown:
     def test_inprocess_drain_answers_all_accepted(self):
-        batch = BatchConfig(deadline_s=0.05, max_batch=32)
-        handle = _server(batch=batch).start()
-        results: list[int] = []
+        # Every request is admitted and held at the gate before shutdown
+        # starts; the drain must still answer each one.
+        engine = _GatedEngine()
+        handle = _server(engine).start()
+        results: list[tuple[int, dict]] = []
         lock = threading.Lock()
         kernels = ["jacobi", "mmjik", "sor", "afold", "dmxpy1", "shal"]
-
-        def fire(name: str) -> None:
-            client = JsonClient(port=handle.port)
-            status, _ = client.optimize(name, bound=4)
-            client.close()
-            with lock:
-                results.append(status)
-
-        threads = [threading.Thread(target=fire, args=(name,))
+        threads = [_fire_optimize(handle.port, name, results, lock)
                    for name in kernels]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.02)  # let requests reach the queue
-        handle.stop()  # request shutdown while work is in flight
+        stopper = threading.Thread(target=handle.stop)
+        try:
+            _wait_until(lambda: engine.metrics.counter("serve.requests")
+                        == len(kernels))
+            stopper.start()  # request shutdown while work is in flight
+            _wait_until(lambda: not _accepts_connections(handle.port))
+        finally:
+            engine.release.set()
+        stopper.join(timeout=30)
         for thread in threads:
             thread.join(timeout=30)
-        assert results == [200] * len(kernels)
+        assert [status for status, _ in results] == [200] * len(kernels)
 
     def test_sigterm_child_drains_and_exits_zero(self, tmp_path):
         metrics_out = tmp_path / "final_metrics.json"
@@ -339,7 +449,6 @@ class TestGracefulShutdown:
                    + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--batch-deadline-ms", "50",
              "--metrics-out", str(metrics_out)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
             text=True)
@@ -357,7 +466,7 @@ class TestGracefulShutdown:
                                                   timeout=60)
                 conn.connect()  # accepted before the SIGTERM below
                 started.wait()
-                body = json.dumps({"nest": name, "bound": 6}).encode()
+                body = json.dumps({"nest": name, "bound": 24}).encode()
                 conn.request("POST", "/v1/optimize", body=body)
                 response = conn.getresponse()
                 doc = json.loads(response.read())
@@ -366,13 +475,18 @@ class TestGracefulShutdown:
                     assert doc.get("ok") is True, doc
                 conn.close()
 
-            kernels = ["jacobi", "mmjik", "sor", "afold", "dmxpy1", "shal"]
+            # Depth-3 nests at bound 24 take 0.1-0.2 s each cold, so the
+            # jobs seen in flight below are still running at the SIGTERM.
+            kernels = ["btrix.1", "btrix.2", "btrix.7", "mmjik", "mmjki",
+                       "shal"]
             threads = [threading.Thread(target=fire, args=(name,))
                        for name in kernels]
             for thread in threads:
                 thread.start()
             started.wait()  # all connections established, requests going out
-            time.sleep(0.05)  # requests now in flight
+            probe = JsonClient(port=port)
+            _wait_until(lambda: probe.healthz()[1]["in_flight"] > 0)
+            probe.close()
             proc.send_signal(signal.SIGTERM)
             for thread in threads:
                 thread.join(timeout=60)

@@ -28,7 +28,6 @@ import pathlib
 import pytest
 
 from repro.engine import AnalysisEngine
-from repro.serve.batcher import BatchConfig
 from repro.serve.client import Client
 from repro.serve.server import ServeConfig, ServerThread
 
@@ -75,7 +74,7 @@ def _assert_case(case: dict, status: int, doc: dict) -> None:
 
 @pytest.fixture(scope="module")
 def server_port():
-    config = ServeConfig(port=0, batch=BatchConfig(deadline_s=0.005))
+    config = ServeConfig(port=0)
     with ServerThread(config, AnalysisEngine()) as handle:
         yield handle.port
 
@@ -91,8 +90,7 @@ def test_v1_golden_against_v2_server(server_port, path):
 def test_v1_golden_against_cluster_router():
     from repro.cluster import ClusterConfig, ClusterThread
 
-    config = ClusterConfig(workers=1, port=0, probe_interval_s=0.25,
-                           worker_deadline_ms=5.0)
+    config = ClusterConfig(workers=1, port=0, probe_interval_s=0.25)
     with ClusterThread(config) as handle:
         for path in GOLDEN:
             case = json.loads(path.read_text())
