@@ -1,23 +1,17 @@
-"""Cold-path analysis throughput: optimized vs seed ``choose_unroll``.
+"""Cold-path analysis throughput of ``choose_unroll``.
 
 The cold path -- dependence graph, locality scores, table construction and
 the balance search, with every cache empty -- is what a compiler pays on
 first sight of a nest.  This benchmark times it over the 19 Table 2
-kernels twice:
+kernels on ``dec_alpha``.
 
-* **fast** -- the optimized pipeline (summed-area tables, keyed location
-  classes, Bareiss elimination, the closed-form SIV kernel, pruned search);
-* **seed** -- the retained original algorithms
-  (``repro.fastpath.seed_algorithms()`` with ``fast=False, prune=False``),
-  the faithful pre-optimization reference.
-
-Both passes must return identical unroll vectors and breakdowns for every
-kernel (the exactness claim).  The acceptance bar asserts the fast pass is
-at least ``SPEEDUP_BAR`` times faster than the *frozen* seed reference
-recorded in ``benchmarks/baselines/cold_analysis.json`` (refreshed only by
-``make bench-baseline``); the live seed measurement feeds the regression
-gate and the next baseline refresh.  Per-stage p95 latencies come from a
-cold :class:`repro.engine.AnalysisEngine` pass over the same corpus.
+Every kernel must return the unroll vector and breakdown frozen in
+``tests/golden/table2_decisions.json`` (the exactness claim).  The
+acceptance bar asserts the pass is at least ``SPEEDUP_BAR`` times faster
+than ``SEED_REFERENCE_NESTS_PER_SEC``, the throughput the original
+union-find and Fraction-elimination algorithms measured at bound 4.
+Per-stage p95 latencies come from a cold
+:class:`repro.engine.AnalysisEngine` pass over the same corpus.
 
 Runs under pytest (``pytest benchmarks/bench_cold_analysis.py``) and as a
 standalone script for the CI smoke job::
@@ -35,44 +29,45 @@ import json
 import pathlib
 import sys
 import time
+from dataclasses import fields
+from fractions import Fraction
 
 _REPO = pathlib.Path(__file__).resolve().parent.parent
 if str(_REPO / "src") not in sys.path:
     sys.path.insert(0, str(_REPO / "src"))
 
+from repro.balance.loop_balance import BalanceBreakdown
 from repro.engine import AnalysisEngine
-from repro.fastpath import seed_algorithms
 from repro.kernels import all_kernels
 from repro.machine.presets import dec_alpha
 from repro.unroll.optimize import choose_unroll
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent / "baselines" / \
-    "cold_analysis.json"
+GOLDEN_PATH = _REPO / "tests" / "golden" / "table2_decisions.json"
 
-#: Required fast/seed-reference throughput ratio (the PR's acceptance bar).
+#: Required throughput ratio over the seed reference (the acceptance bar).
 SPEEDUP_BAR = 2.0
+
+#: Nests/sec of the original algorithms (union-find table counts, Fraction
+#: elimination, pairwise locality scores, unpruned search) over these 19
+#: kernels at bound 4, frozen from ``benchmarks/baselines/cold_analysis.json``
+#: when those algorithms were deleted; the bar divides by it.
+SEED_REFERENCE_NESTS_PER_SEC = 34.81081402626408
+SEED_REFERENCE_BOUND = 4
 
 #: Engine stages whose p95 wall time the regression gate tracks.
 TRACKED_STAGES = ("dependence_graph", "locality", "build_tables", "search")
 
-def _run_corpus(nests, machine, bound: int, seed_mode: bool):
+def _run_corpus(nests, machine, bound: int):
     """One full cold pass over the corpus; returns (results, wall time)."""
     t0 = time.monotonic()
-    if seed_mode:
-        with seed_algorithms():
-            results = [choose_unroll(nest, machine, bound=bound,
-                                     prune=False, fast=False)
-                       for nest in nests]
-    else:
-        results = [choose_unroll(nest, machine, bound=bound)
-                   for nest in nests]
+    results = [choose_unroll(nest, machine, bound=bound) for nest in nests]
     return results, time.monotonic() - t0
 
-def _best_of(nests, machine, bound: int, repetitions: int, seed_mode: bool):
+def _best_of(nests, machine, bound: int, repetitions: int):
     """Best wall time over ``repetitions`` passes (damps runner noise)."""
-    best_results, best_time = _run_corpus(nests, machine, bound, seed_mode)
+    best_results, best_time = _run_corpus(nests, machine, bound)
     for _ in range(repetitions - 1):
-        results, wall = _run_corpus(nests, machine, bound, seed_mode)
+        results, wall = _run_corpus(nests, machine, bound)
         if wall < best_time:
             best_results, best_time = results, wall
     return best_results, best_time
@@ -86,16 +81,22 @@ def _stage_p95s(nests, machine, bound: int) -> dict:
     return {name: stages[f"stage.{name}"]["p95_s"]
             for name in TRACKED_STAGES if f"stage.{name}" in stages}
 
-def frozen_seed_reference(bound: int) -> float | None:
-    """The committed seed-path nests/sec for this bound, or None."""
-    try:
-        doc = json.loads(BASELINE_PATH.read_text())
-    except (OSError, json.JSONDecodeError):
+def golden_mismatches(kernels, results, bound: int) -> list[str] | None:
+    """Kernels whose decision differs from the ``dec_alpha`` golden entry
+    at ``bound``, or None when the golden file does not cover ``bound``."""
+    golden = {entry["kernel"]: entry
+              for entry in json.loads(GOLDEN_PATH.read_text())
+              if entry["machine"] == "dec_alpha" and entry["bound"] == bound}
+    if not golden:
         return None
-    metrics = doc.get("metrics", {})
-    if metrics.get("bound") != bound:
-        return None  # measured under a different search bound
-    return metrics.get("seed_nests_per_sec")
+    mismatches = []
+    for kernel, result in zip(kernels, results):
+        entry = golden.get(kernel.name)
+        if entry is None or list(result.unroll) != entry["unroll"] or any(
+                getattr(result.breakdown, field.name) != Fraction(
+                    entry[field.name]) for field in fields(BalanceBreakdown)):
+            mismatches.append(kernel.name)
+    return mismatches
 
 def run_cold_analysis(bound: int = 4, repetitions: int = 5,
                       quick: bool = False) -> dict:
@@ -114,47 +115,43 @@ def run_cold_analysis(bound: int = 4, repetitions: int = 5,
     machine = dec_alpha()
 
     # Warm-up: imports, bytecode, the interpreter's small-int caches.
-    _run_corpus(nests, machine, min(bound, 2), seed_mode=False)
+    _run_corpus(nests, machine, min(bound, 2))
 
-    fast_results, fast_time = _best_of(nests, machine, bound, repetitions,
-                                       seed_mode=False)
-    seed_results, seed_time = _best_of(nests, machine, bound, repetitions,
-                                       seed_mode=True)
-
-    mismatches = [kernels[i].name
-                  for i, (a, b) in enumerate(zip(fast_results, seed_results))
-                  if a.unroll != b.unroll or a.breakdown != b.breakdown]
+    results, wall = _best_of(nests, machine, bound, repetitions)
+    mismatches = golden_mismatches(kernels, results, bound)
 
     count = len(nests)
-    fast_nps = count / fast_time if fast_time else 0.0
-    seed_nps = count / seed_time if seed_time else 0.0
-    reference = frozen_seed_reference(bound)
+    fast_nps = count / wall if wall else 0.0
+    reference = (SEED_REFERENCE_NESTS_PER_SEC
+                 if bound == SEED_REFERENCE_BOUND else None)
     return {
         "bound": bound,
         "kernels": count,
         "repetitions": repetitions,
-        "fast": {"wall_time_s": fast_time, "nests_per_sec": fast_nps},
-        "seed": {"wall_time_s": seed_time, "nests_per_sec": seed_nps},
-        "speedup_vs_seed": fast_nps / seed_nps if seed_nps else 0.0,
+        "fast": {"wall_time_s": wall, "nests_per_sec": fast_nps},
         "seed_reference_nests_per_sec": reference,
         "speedup_vs_reference": (fast_nps / reference
                                  if reference else None),
-        "parity": {"matches": not mismatches, "mismatches": mismatches},
+        "parity": {"matches": None if mismatches is None else not mismatches,
+                   "mismatches": mismatches or []},
         "stage_p95_s": _stage_p95s(nests, machine, bound),
     }
 
 def acceptance(payload: dict) -> tuple[bool, list[str]]:
-    """The hard bars: exact parity, and >= SPEEDUP_BAR x over the frozen
-    seed reference (skipped, with a note, before a baseline exists)."""
+    """The hard bars: the golden decisions, and >= SPEEDUP_BAR x over the
+    frozen seed reference (skipped, with a note, at another bound)."""
     problems = []
-    if not payload["parity"]["matches"]:
+    if payload["parity"]["matches"] is None:
+        problems.append(f"no golden decisions at bound {payload['bound']} "
+                        f"in {GOLDEN_PATH.name}")
+    elif not payload["parity"]["matches"]:
         problems.append(
             f"parity mismatches: {payload['parity']['mismatches']}")
     speedup = payload["speedup_vs_reference"]
     if speedup is None:
-        print("[cold_analysis] no frozen seed reference for bound "
-              f"{payload['bound']}; speedup bar not enforced "
-              "(run `make bench-baseline` to record one)")
+        print("[cold_analysis] the seed reference was measured at bound "
+              f"{SEED_REFERENCE_BOUND}, not {payload['bound']}; speedup bar "
+              "not enforced")
     elif speedup < SPEEDUP_BAR:
         problems.append(
             f"speedup {speedup:.2f}x below the {SPEEDUP_BAR:.1f}x bar "
@@ -167,19 +164,16 @@ def format_cold_analysis(payload: dict) -> str:
              f"kernels (bound {payload['bound']}, best of "
              f"{payload['repetitions']})",
              f"{'pipeline':<18s} {'wall':>8s} {'nests/s':>8s}"]
-    for label, key in (("fast (optimized)", "fast"), ("seed (original)",
-                                                      "seed")):
-        stats = payload[key]
-        lines.append(f"{label:<18s} {stats['wall_time_s']:>7.3f}s "
-                     f"{stats['nests_per_sec']:>8.1f}")
+    stats = payload["fast"]
+    lines.append(f"{'choose_unroll':<18s} {stats['wall_time_s']:>7.3f}s "
+                 f"{stats['nests_per_sec']:>8.1f}")
     lines.append("")
-    lines.append(f"live speedup vs seed: {payload['speedup_vs_seed']:.2f}x")
     if payload["speedup_vs_reference"] is not None:
         lines.append(f"speedup vs frozen reference "
                      f"({payload['seed_reference_nests_per_sec']:.1f} "
                      f"nests/s): {payload['speedup_vs_reference']:.2f}x "
                      f"(bar {SPEEDUP_BAR:.1f}x)")
-    lines.append(f"parity (unroll + breakdown): "
+    lines.append(f"golden decisions (unroll + breakdown): "
                  f"{payload['parity']['matches']}")
     lines.append("")
     lines.append("engine stage p95:")

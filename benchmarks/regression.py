@@ -53,13 +53,9 @@ SPECS: dict[str, dict] = {
         "results": "cold_analysis.json",
         "metrics": {
             "cold_nests_per_sec": (("fast", "nests_per_sec"), "higher"),
-            "speedup_vs_seed": (("speedup_vs_seed",), "higher"),
-            # The live seed measurement is recorded so a baseline refresh
-            # freezes it as the reference the bench's speedup bar divides
-            # by; ``bound`` pins the search bound that reference was
-            # measured under (a config change shows up as a delta here
-            # instead of silently shifting the bar).
-            "seed_nests_per_sec": (("seed", "nests_per_sec"), "higher"),
+            # ``bound`` pins the search bound the throughput is measured
+            # under (a config change shows up as a delta here instead of
+            # silently shifting the nests/sec baseline).
             "bound": (("bound",), "higher"),
             # Per-stage cold latency from the engine's StageStats.  Only
             # the table build is gated: it dominates the cold path at

@@ -11,18 +11,16 @@ coexist:
   boundary.  The reduced row echelon form of a matrix is unique, so every
   derived quantity (rank, nullspace, solve) is bit-identical to the
   reference path;
-* the reference Gauss-Jordan elimination over ``Fraction``, kept both as
-  the fallback for genuinely rational matrices and as the seed algorithm
-  the parity fuzz suite compares against (see
-  :func:`fraction_elimination`).
+* Gauss-Jordan elimination over ``Fraction`` for genuinely rational
+  matrices (:meth:`Matrix._rref_fraction`), which the parity suite also
+  runs on integer matrices as the reference for the Bareiss path.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Rational = int | Fraction
 
@@ -40,24 +38,6 @@ def int_fraction(value: int) -> Fraction:
         if len(_INT_FRACTIONS) < 65536:
             _INT_FRACTIONS[value] = got
     return got
-
-#: When False, every elimination runs the reference Fraction path -- the
-#: seed algorithm.  Toggled by :func:`fraction_elimination` for parity
-#: tests and seed-path benchmark measurements.
-_INTEGER_FAST_PATH = True
-
-@contextmanager
-def fraction_elimination() -> Iterator[None]:
-    """Force the reference Fraction elimination (the seed algorithm) for
-    the duration of the block.  Used by parity tests and by the
-    cold-analysis benchmark's seed-path measurement."""
-    global _INTEGER_FAST_PATH
-    previous = _INTEGER_FAST_PATH
-    _INTEGER_FAST_PATH = False
-    try:
-        yield
-    finally:
-        _INTEGER_FAST_PATH = previous
 
 def _freeze(rows: Iterable[Iterable[Rational]]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(_frac(x) for x in row) for row in rows)
@@ -215,7 +195,7 @@ class Matrix:
     def matvec(self, vector: Sequence[Rational]) -> tuple[Fraction, ...]:
         if len(vector) != self.ncols:
             raise ValueError(f"vector length {len(vector)} != ncols {self.ncols}")
-        ints = self.integer_rows() if _INTEGER_FAST_PATH else None
+        ints = self.integer_rows()
         if ints is not None and all(type(x) is int for x in vector):
             return tuple(Fraction(sum(row[j] * vector[j]
                                       for j in range(self.ncols)))
@@ -227,14 +207,13 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matmul")
-        if _INTEGER_FAST_PATH:
-            a, b = self.integer_rows(), other.integer_rows()
-            if a is not None and b is not None:
-                return Matrix(
-                    [[sum(a[i][k] * b[k][j] for k in range(self.ncols))
-                      for j in range(other.ncols)]
-                     for i in range(self.nrows)],
-                    ncols=other.ncols)
+        a, b = self.integer_rows(), other.integer_rows()
+        if a is not None and b is not None:
+            return Matrix(
+                [[sum(a[i][k] * b[k][j] for k in range(self.ncols))
+                  for j in range(other.ncols)]
+                 for i in range(self.nrows)],
+                ncols=other.ncols)
         return Matrix(
             [[sum((self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)), Fraction(0))
               for j in range(other.ncols)]
@@ -256,14 +235,14 @@ class Matrix:
         matrices.  The RREF of a matrix is unique, so both paths return
         bit-identical results.
         """
-        ints = self.integer_rows() if _INTEGER_FAST_PATH else None
+        ints = self.integer_rows()
         if ints is not None:
             return _rref_bareiss(ints, self.ncols)
         return self._rref_fraction()
 
     def _rref_fraction(self) -> tuple[list[list[Fraction]], list[int]]:
-        """The reference Gauss-Jordan elimination over Fractions (the seed
-        algorithm, exercised directly under :func:`fraction_elimination`)."""
+        """Gauss-Jordan elimination over Fractions: the path for rational
+        matrices and the reference the Bareiss path is tested against."""
         rows = [list(row) for row in self.rows]
         pivots: list[int] = []
         r = 0
@@ -289,7 +268,7 @@ class Matrix:
         return Matrix(rows, ncols=self.ncols)
 
     def rank(self) -> int:
-        ints = self.integer_rows() if _INTEGER_FAST_PATH else None
+        ints = self.integer_rows()
         if ints is not None:
             # Rank needs only the forward (fraction-free) sweep.
             _, pivots = _bareiss_forward([list(row) for row in ints],

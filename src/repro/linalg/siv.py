@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from repro.fastpath import fast_enabled
 from repro.linalg.matrix import Matrix, SivRows
 from repro.linalg.space import VectorSpace
 
@@ -31,12 +30,8 @@ def closed_form(matrix: Matrix, localized: VectorSpace,
                 ) -> tuple[SivRows, tuple[int, ...]] | None:
     """(rows, axes of L) when the closed form covers the input, else None.
 
-    The choice depends only on the shapes of H and L; seed mode
-    (:func:`repro.fastpath.seed_algorithms`) always takes the rational
-    path.
+    The choice depends only on the shapes of H and L.
     """
-    if not fast_enabled():
-        return None
     rows = matrix.siv_rows()
     if rows is None:
         return None

@@ -8,9 +8,9 @@ each resulting group is led by its lexicographically smallest member.
 
 The locality scores count g_T and g_S of SIV-separable sets from keyed
 classes instead (:func:`repro.linalg.siv.group_counts`).  The pairwise
-partitions here are the path for every other set and for seed mode, the
-oracle those keyed counts are tested against, and what the brute-force
-baseline measures unrolled bodies with.
+partitions here are the path for every other set, the oracle those keyed
+counts are tested against, and what the brute-force baseline measures
+unrolled bodies with.
 """
 
 from __future__ import annotations

@@ -17,12 +17,12 @@ N iterations of the localized loops; a self-spatial one misses once per
 line.  (The scanned Equation 1 is unreadable; see DESIGN.md for the
 provenance of this reconstruction.)
 
-When every set is SIV-separable (and the fast path is on), g_T and g_S
-come from the keyed location classes of :func:`repro.linalg.siv.group_counts`
-and :func:`loop_locality_scores` sums the costs as integers over the
-common denominator ``ℓ² · trip^depth``.  The pairwise partitions of
-:mod:`repro.reuse.group` are the path for every other set, the seed path
-and the oracle the keyed counts are tested against.
+When every set is SIV-separable, g_T and g_S come from the keyed
+location classes of :func:`repro.linalg.siv.group_counts` and
+:func:`loop_locality_scores` sums the costs as integers over the common
+denominator ``ℓ² · trip^depth``.  The pairwise partitions of
+:mod:`repro.reuse.group` are the path for every other set and the oracle
+the keyed counts are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.fastpath import fast_enabled
 from repro.ir.nodes import LoopNest
 from repro.linalg import Matrix, VectorSpace, siv
 from repro.reuse.group import group_spatial_partition, group_temporal_partition
@@ -129,12 +128,11 @@ def loop_locality_scores(nest: LoopNest, line_size: int = 4,
     supplies the precomputed partition, as for :func:`nest_memory_cost`.
 
     Integer keyed classes score a nest whose sets are all SIV-separable;
-    :func:`pairwise_locality_scores` scores the rest (and seed mode).
+    :func:`pairwise_locality_scores` scores the rest.
     """
     # One partition serves all depth+1 scorings.
     sets = partition_ugs(nest) if ugs is None else ugs
-    if fast_enabled() and all(group.matrix.siv_rows() is not None
-                              for group in sets):
+    if all(group.matrix.siv_rows() is not None for group in sets):
         return _keyed_scores(nest.depth, sets, line_size, trip)
     return pairwise_locality_scores(nest, line_size, trip, sets)
 
@@ -144,8 +142,8 @@ def pairwise_locality_scores(nest: LoopNest, line_size: int = 4,
                              ) -> list[Fraction]:
     """:func:`loop_locality_scores` from the pairwise partitions and
     Fraction costs (:func:`pairwise_memory_cost`) under a
-    :class:`VectorSpace` per candidate: the non-SIV path, the seed path
-    and the oracle of the keyed scores."""
+    :class:`VectorSpace` per candidate: the non-SIV path and the oracle
+    of the keyed scores."""
     sets = partition_ugs(nest) if ugs is None else ugs
     base_space = innermost_localized_space(nest)
 

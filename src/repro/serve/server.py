@@ -276,18 +276,19 @@ class AnalysisServer:
                         self._metrics_document()),
                     obs.PROMETHEUS_CONTENT_TYPE, close=close)
             return _response(200, self._metrics_document(), close=close)
-        if path.startswith("/v1/"):
-            if request.method != "POST":
-                return _response(405, protocol.error_payload(
-                    "method_not_allowed", "use POST"), close=close)
+        if path.startswith("/v1/") or path == "/v2/frame":
             # A cluster router forwards its trace context via headers so
             # this worker's spans nest under the routed request's span.
             with obs.activate(self._remote_trace(request)), \
                     obs.span("serve.request", path=path,
                              method=request.method):
-                status, payload, extra = await self._handle_api(
-                    path[len("/v1/"):], request.body)
-            return _response(status, payload, close=close, headers=extra)
+                return await self._respond_data(request, path, close)
+        return _negotiated_error(request, 404, "not_found",
+                                 f"no route {request.path!r}", close=close)
+
+    async def _respond_data(self, request: _Request, path: str,
+                            close: bool) -> bytes:
+        """The two data-plane routes: v1 JSON and the v2 binary frame."""
         if path == "/v2/frame":
             if request.method != "POST":
                 return _negotiated_error(request, 405, "method_not_allowed",
@@ -299,8 +300,12 @@ class AnalysisServer:
                     f"{protocol.CONTENT_TYPE_FRAME}", close=close)
             status, frame, extra = await self._handle_frame(request)
             return _frame_response(status, frame, close=close, headers=extra)
-        return _negotiated_error(request, 404, "not_found",
-                                 f"no route {request.path!r}", close=close)
+        if request.method != "POST":
+            return _response(405, protocol.error_payload(
+                "method_not_allowed", "use POST"), close=close)
+        status, payload, extra = await self._handle_api(
+            path[len("/v1/"):], request.body)
+        return _response(status, payload, close=close, headers=extra)
 
     @staticmethod
     def _remote_trace(request: _Request) -> tuple[str, str] | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.balance import loop_balance, objective
 from repro.balance.loop_balance import BalanceBreakdown
@@ -69,29 +69,18 @@ def select_candidate_loops(nest: LoopNest, safety: tuple[int, ...],
     chosen = ranked[:max_loops]
     return tuple(sorted(chosen))
 
-def search_space(tables: UnrollTables, machine: MachineModel,
-                 include_cache: bool = True,
-                 prune: bool = True,
-                 miss_model=None) -> tuple[UnrollVector, bool]:
-    """Exhaustive search of the (precomputed) table for the best vector.
+def _feasible(tables: UnrollTables, machine: MachineModel,
+              include_cache: bool, miss_model,
+              ) -> Iterator[tuple[tuple, UnrollVector]]:
+    """``(key, u)`` for every register-feasible vector of the box, where
+    ``key`` orders by the balance objective, then fewer body copies, then
+    lexicographic order.
 
-    Prefers register-feasible vectors; among those, minimizes the balance
-    objective, breaking ties toward fewer body copies then lexicographic
-    order.  Falls back to the no-unroll vector when nothing is feasible.
-
-    With ``prune`` (the default) the scan skips every vector that
-    componentwise dominates an already-infeasible one: register pressure
-    is monotone non-decreasing in the unroll vector, so a dominated point
-    is exactly one the plain scan would reject on its register check.
-    The selected vector is identical either way (``prune=False`` keeps the
-    seed scan for the parity suite).
-
-    ``miss_model`` (e.g. :class:`repro.reuse.profile.AssocMissModel`)
-    swaps the binary Equation-1 miss charge in the objective for a
-    set-associative estimate; ``None`` keeps the paper's ranking exactly.
+    The scan skips every vector that componentwise dominates an
+    already-infeasible one: register pressure is monotone non-decreasing
+    in the unroll vector, so a dominated point would fail its register
+    check anyway.
     """
-    best_u: UnrollVector | None = None
-    best_key: tuple | None = None
     space = tables.space
     infeasible: list[tuple[int, ...]] = []
     for reduced in space.reduced_box():
@@ -101,16 +90,29 @@ def search_space(tables: UnrollTables, machine: MachineModel,
         u = space.embed(reduced)
         point = tables.point(u)
         if point.registers > machine.registers:
-            if prune:
-                infeasible.append(reduced)
+            infeasible.append(reduced)
             continue
-        key = (objective(point, machine, include_cache, miss_model),
-               body_copies(u), u)
-        if best_key is None or key < best_key:
-            best_key, best_u = key, u
-    if best_u is None:
+        yield (objective(point, machine, include_cache, miss_model),
+               body_copies(u), u), u
+
+def search_space(tables: UnrollTables, machine: MachineModel,
+                 include_cache: bool = True,
+                 miss_model=None) -> tuple[UnrollVector, bool]:
+    """Exhaustive search of the (precomputed) table for the best vector.
+
+    Prefers register-feasible vectors; among those, minimizes the balance
+    objective, breaking ties toward fewer body copies then lexicographic
+    order.  Falls back to the no-unroll vector when nothing is feasible.
+
+    ``miss_model`` (e.g. :class:`repro.reuse.profile.AssocMissModel`)
+    swaps the binary Equation-1 miss charge in the objective for a
+    set-associative estimate; ``None`` keeps the paper's ranking exactly.
+    """
+    best = min(_feasible(tables, machine, include_cache, miss_model),
+               default=None)
+    if best is None:
         return tuple(0 for _ in range(tables.nest.depth)), False
-    return best_u, True
+    return best[1], True
 
 #: Vectorized search evaluates the full jam -> pack -> cost chain on at
 #: most this many scalar-ranked feasible points (plus no-unroll): packing
@@ -120,7 +122,6 @@ SIMD_BEAM = 8
 
 def search_space_vectorized(tables: UnrollTables, machine: MachineModel,
                             include_cache: bool = True,
-                            prune: bool = True,
                             miss_model=None, *,
                             estimator: Callable[[UnrollVector], object],
                             beam: int = SIMD_BEAM,
@@ -133,24 +134,9 @@ def search_space_vectorized(tables: UnrollTables, machine: MachineModel,
     scalar key, so a machine whose packs never help chooses exactly the
     scalar vector.
     """
-    space = tables.space
-    ranked: list[tuple[tuple, UnrollVector]] = []
-    infeasible: list[tuple[int, ...]] = []
-    for reduced in space.reduced_box():
-        if infeasible and any(dominates(reduced, floor)
-                              for floor in infeasible):
-            continue
-        u = space.embed(reduced)
-        point = tables.point(u)
-        if point.registers > machine.registers:
-            if prune:
-                infeasible.append(reduced)
-            continue
-        ranked.append(((objective(point, machine, include_cache, miss_model),
-                        body_copies(u), u), u))
+    ranked = sorted(_feasible(tables, machine, include_cache, miss_model))
     if not ranked:
         return tuple(0 for _ in range(tables.nest.depth)), False
-    ranked.sort()
     shortlist = [u for _, u in ranked[:beam]]
     zero = tuple(0 for _ in range(tables.nest.depth))
     if zero not in shortlist and any(u == zero for _, u in ranked):
@@ -180,7 +166,6 @@ def choose_unroll(nest: LoopNest, machine: MachineModel,
                   ugs: Sequence | None = None,
                   tables_builder: Callable[[LoopNest, UnrollSpace, int, int],
                                            UnrollTables] | None = None,
-                  prune: bool = True, fast: bool = True,
                   stage: Callable[[str], object] | None = None,
                   miss_model=None,
                   vectorize: bool = False,
@@ -195,12 +180,10 @@ def choose_unroll(nest: LoopNest, machine: MachineModel,
     safety, locality and UGS-partition stages; ``tables_builder`` replaces
     the direct :func:`build_tables` call (the engine passes its cached
     layer); ``stage`` wraps named stages in the caller's instrumentation
-    (a callable returning a context manager).  ``prune=False`` and
-    ``fast=False`` select the seed search/table algorithms for the parity
-    suite and benchmarks.  ``miss_model`` ranks candidates with a
-    set-associative miss estimate instead of the binary Equation-1 charge
-    (see :func:`search_space`); the default ``None`` reproduces the
-    paper's decision bit-for-bit.
+    (a callable returning a context manager).  ``miss_model`` ranks
+    candidates with a set-associative miss estimate instead of the binary
+    Equation-1 charge (see :func:`search_space`); the default ``None``
+    reproduces the paper's decision bit-for-bit.
 
     ``vectorize=True`` swaps the ranking for the SLP lane cost model
     (:func:`search_space_vectorized`): minimize vectorized cycles per
@@ -229,8 +212,7 @@ def choose_unroll(nest: LoopNest, machine: MachineModel,
         tables = tables_builder(nest, space, line_size, trip)
     else:
         tables = build_tables(nest, space, line_size=line_size, trip=trip,
-                              ugs=list(ugs) if ugs is not None else None,
-                              fast=fast)
+                              ugs=list(ugs) if ugs is not None else None)
     with stage("search"):
         if vectorize and machine.vector_width_words > 1:
             from repro.balance.loop_balance import miss_cycles
@@ -244,11 +226,10 @@ def choose_unroll(nest: LoopNest, machine: MachineModel,
                                         miss_cycles(b, machine)).estimate
 
             chosen, feasible = search_space_vectorized(
-                tables, machine, include_cache, prune=prune,
-                miss_model=miss_model, estimator=estimator)
+                tables, machine, include_cache, miss_model=miss_model,
+                estimator=estimator)
         else:
             chosen, feasible = search_space(tables, machine, include_cache,
-                                            prune=prune,
                                             miss_model=miss_model)
         point = tables.point(chosen)
         breakdown = loop_balance(point, machine, include_cache, miss_model)

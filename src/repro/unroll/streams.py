@@ -13,9 +13,9 @@ one slab-by-slab sweep over the box counts the classes, runs and chains.
 The union-find counters (:func:`group_count`, :func:`group_count_spatial`,
 :func:`stream_chains`) take merge relations from the merge-point solver
 and answer one point at a time.  They are the oracle the keyed form is
-tested against, the seed construction, the path for every other set, and
-what the ``dims=()`` callers use (scalar replacement, its code generator,
-the prefetch planner and the brute-force baseline).
+tested against, the path for every other set, and what the ``dims=()``
+callers use (scalar replacement, its code generator, the prefetch
+planner and the brute-force baseline).
 
 Everything here is validated against the brute-force baseline that does
 materialize the unrolled body (tests/test_tables_vs_bruteforce.py).
@@ -54,10 +54,8 @@ class _UnionFind:
     """Union-find over dense integer nodes ``0..n-1`` (flat list parents).
 
     Lattice nodes are linearized as ``member * box_size + offset_index``
-    (row-major offsets), replacing the former dict-of-tuples forest.  The
-    union sequence and hence the root structure are unchanged, so
-    component counts *and* the discovery order of :meth:`components` are
-    identical to the seed implementation.
+    (row-major offsets).  :meth:`components` lists components in the
+    order their roots are discovered.
     """
 
     __slots__ = ("parent",)
@@ -108,9 +106,8 @@ def _clipped_indices(k: tuple[int, ...],
     """Linear indices of every offset ``b`` with both ``b`` and ``b + k``
     inside the box, in lexicographic (= increasing-index) order.
 
-    The seed code tested ``b + k in box_set`` per cell; the in-range cells
-    form a sub-box computable directly from ``k``, and the shifted node is
-    always ``index + dot(k, strides)``.
+    The in-range cells form a sub-box computable directly from ``k``, and
+    the shifted node is always ``index + dot(k, strides)``.
     """
     strides = [1] * len(sizes)
     for i in range(len(sizes) - 2, -1, -1):
@@ -128,8 +125,8 @@ def _clipped_indices(k: tuple[int, ...],
 def _union_merges(uf: _UnionFind, merges: list["PairMerge"],
                   sizes: tuple[int, ...], strides: tuple[int, ...],
                   box_size: int) -> None:
-    """Apply every pair merge across the whole box (same union sequence as
-    the seed's per-cell membership test)."""
+    """Apply every pair merge across the whole box, in merge order and,
+    within a merge, in increasing cell order."""
     for pm in merges:
         k = pm.solution.offset
         indices = _clipped_indices(k, sizes)
@@ -548,7 +545,7 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
     from keyed location classes: the values of :func:`group_count`,
     :func:`group_count_spatial` and :func:`stream_chains` (register L = the
     innermost loop), or None when the closed form does not cover the set
-    (non-SIV H, L not spanned by axes, seed mode).
+    (non-SIV H, L not spanned by axes).
 
     The box over the used dims is swept one slab at a time: for each point
     p of all but the last dim, a fresh state takes the copies with offset

@@ -22,7 +22,6 @@ from math import lcm
 from operator import add
 from typing import Callable
 
-from repro.fastpath import fast_enabled
 from repro.ir.nodes import LoopNest
 from repro.linalg import VectorSpace
 from repro.linalg.matrix import int_fraction
@@ -47,17 +46,16 @@ class OffsetTable:
     ``table[u'] = T(u')`` such that ``sum(T(u') for u' <= u) = count(u)``;
     entries may be negative (merges remove groups).
 
-    By default the constructor also materializes the *inclusive prefix
-    sums* (summed-area table) of the increments over the box, so
-    :meth:`box_sum` answers in O(1) instead of scanning every increment.
-    The scan is kept as :meth:`box_sum_scan` -- the seed algorithm, the
-    fallback for tables whose increments fall outside the declared box,
-    and the reference the parity fuzz suite compares against.
+    The constructor also materializes the *inclusive prefix sums*
+    (summed-area table) of the increments over the box, so :meth:`box_sum`
+    answers in O(1) instead of scanning every increment.  The scan,
+    :meth:`box_sum_scan`, answers for tables whose increments fall outside
+    the declared box and is the reference the parity suite compares
+    against.
     """
 
     def __init__(self, dims: tuple[int, ...], bounds: tuple[int, ...],
-                 increments: dict[tuple[int, ...], Fraction],
-                 prefix: bool = True):
+                 increments: dict[tuple[int, ...], Fraction]):
         self.dims = dims
         self.bounds = bounds
         self.increments = increments
@@ -66,13 +64,13 @@ class OffsetTable:
         for i in range(len(bounds) - 2, -1, -1):
             strides[i] = strides[i + 1] * self._sizes[i + 1]
         self._strides = tuple(strides)
-        self._prefix = self._build_prefix() if prefix else None
+        self._prefix = self._build_prefix()
 
     def counts(self) -> list[int] | None:
         """The value at every box point as plain ints, in row-major order
         (the inclusive prefix sums), or None when the table has no
-        integral in-box prefix (seed-built, or hand-built with fractional
-        or out-of-box increments)."""
+        integral in-box prefix (hand-built with fractional or out-of-box
+        increments)."""
         prefix = self._prefix
         if prefix is None or isinstance(prefix[0], Fraction):
             return None
@@ -117,32 +115,21 @@ class OffsetTable:
         return cells
 
     @staticmethod
-    def from_counts(space: UnrollSpace,
-                    count: Callable[[UnrollVector], Fraction | int],
-                    prefix: bool = True) -> "OffsetTable":
-        """Mobius inversion of ``count`` over the box: the increment at u'
-        is the inclusion-exclusion difference over u's lower neighbours."""
-        [table] = OffsetTable.from_counts_multi(
-            space, lambda u: (count(u),), 1, prefix=prefix)
-        return table
-
-    @staticmethod
     def from_counts_multi(space: UnrollSpace,
                           count: Callable[[UnrollVector], tuple],
-                          width: int,
-                          prefix: bool = True) -> list["OffsetTable"]:
-        """Mobius-invert a tuple-valued count into ``width`` tables.
+                          width: int) -> list["OffsetTable"]:
+        """Mobius-invert a tuple-valued count into ``width`` tables: the
+        increment at u' is the inclusion-exclusion difference over u's
+        lower neighbours.
 
         ``count`` is evaluated **once** per unroll point and each component
         of its result feeds one table -- this is how the RRS and register
-        tables share a single stream-chain computation per point.
+        tables share a single stream-chain computation per point.  Counts
+        keep their native type (the lattice counters all return ints);
+        :meth:`box_sum` normalizes to Fraction at the query boundary.
         """
         cache: dict[tuple[int, ...], tuple] = {}
-        # The fast construction keeps counts in their native type (the
-        # lattice counters all return ints) and lets box_sum normalize to
-        # Fraction at the query boundary; the seed construction
-        # (prefix=False) converts eagerly, exactly as the original did.
-        zero = (0,) * width if prefix else (Fraction(0),) * width
+        zero = (0,) * width
 
         def counted(reduced: tuple[int, ...]) -> tuple:
             if any(c < 0 for c in reduced):
@@ -150,8 +137,6 @@ class OffsetTable:
             got = cache.get(reduced)
             if got is None:
                 got = tuple(count(space.embed(reduced)))
-                if not prefix:
-                    got = tuple(Fraction(v) for v in got)
                 cache[reduced] = got
             return got
 
@@ -160,7 +145,7 @@ class OffsetTable:
         ndims = len(space.dims)
         corners = tuple(product((0, 1), repeat=ndims))
         for reduced in space.reduced_box():
-            totals = [0] * width if prefix else [Fraction(0)] * width
+            totals = [0] * width
             for signs in corners:
                 neighbour = tuple(r - s for r, s in zip(reduced, signs))
                 values = counted(neighbour)
@@ -172,7 +157,7 @@ class OffsetTable:
                         totals[i] += values[i]
             for i in range(width):
                 increments[i][reduced] = totals[i]
-        return [OffsetTable(space.dims, space.bounds, inc, prefix=prefix)
+        return [OffsetTable(space.dims, space.bounds, inc)
                 for inc in increments]
 
     def box_sum(self, reduced: tuple[int, ...]) -> Fraction:
@@ -196,7 +181,8 @@ class OffsetTable:
         return value if isinstance(value, Fraction) else int_fraction(value)
 
     def box_sum_scan(self, reduced: tuple[int, ...]) -> Fraction:
-        """The seed O(|increments|) scan (reference for the parity tests)."""
+        """The O(|increments|) scan: the answer for out-of-box increments
+        and the reference for the parity tests."""
         total = Fraction(0)
         for offset, inc in self.increments.items():
             if all(o <= r for o, r in zip(offset, reduced)):
@@ -247,7 +233,7 @@ class UnrollTables:
     """
 
     def __init__(self, nest: LoopNest, space: UnrollSpace, line_size: int,
-                 trip: int, per_ugs: list[UgsTables], fast: bool = True):
+                 trip: int, per_ugs: list[UgsTables]):
         self.nest = nest
         self.space = space
         self.line_size = line_size
@@ -255,7 +241,6 @@ class UnrollTables:
         self.per_ugs = per_ugs
         self._base_flops = nest.flops_per_iteration()
         self._points: dict[UnrollVector, UnrollPoint] = {}
-        self._fast = fast
         self._aggregate = _UNBUILT
 
     def _build_aggregate(self) -> "_Aggregate | None":
@@ -305,21 +290,25 @@ class UnrollTables:
     def _compute_point(self, u: UnrollVector) -> UnrollPoint:
         if not self.space.contains(u):
             raise ValueError(f"unroll vector {u} outside the table space")
+        if self._aggregate is _UNBUILT:
+            self._aggregate = self._build_aggregate()
+        agg = self._aggregate
+        if agg is None:
+            return self._per_set_point(u)
+        idx = 0
+        for dim, stride in zip(self.space.dims, agg.strides):
+            idx += u[dim] * stride
+        memory_ops, registers, gts, gss, cost = agg.sums
         flops = int_fraction(self._base_flops * body_copies(u))
-        if self._fast:
-            if self._aggregate is _UNBUILT:
-                self._aggregate = self._build_aggregate()
-            agg = self._aggregate
-            if agg is not None:
-                idx = 0
-                for dim, stride in zip(self.space.dims, agg.strides):
-                    idx += u[dim] * stride
-                memory_ops, registers, gts, gss, cost = agg.sums
-                return UnrollPoint(
-                    u, flops, int_fraction(memory_ops[idx]),
-                    int_fraction(registers[idx]), int_fraction(gts[idx]),
-                    int_fraction(gss[idx]),
-                    Fraction(cost[idx], agg.denominator))
+        return UnrollPoint(
+            u, flops, int_fraction(memory_ops[idx]),
+            int_fraction(registers[idx]), int_fraction(gts[idx]),
+            int_fraction(gss[idx]), Fraction(cost[idx], agg.denominator))
+
+    def _per_set_point(self, u: UnrollVector) -> UnrollPoint:
+        """The point at ``u`` by accumulating each set's box sums in
+        Fractions: the path for tables without an integral prefix, equal
+        to the aggregate wherever both apply."""
         reduced = self.space.project(u)
         memory_ops = Fraction(0)
         registers = Fraction(0)
@@ -335,6 +324,7 @@ class UnrollTables:
             gts_total += g_t
             gss_total += g_s
             cache_cost += entry.base_cost * (g_s + (g_t - g_s) / line)
+        flops = int_fraction(self._base_flops * body_copies(u))
         return UnrollPoint(u, flops, memory_ops, registers, gts_total,
                            gss_total, cache_cost)
 
@@ -342,17 +332,14 @@ class UnrollTables:
         return [self.point(u) for u in self.space]
 
 def counted_tables(group: UniformlyGeneratedSet, space: UnrollSpace,
-                   localized: VectorSpace, line_size: int,
-                   fast: bool = True) -> list[OffsetTable]:
+                   localized: VectorSpace, line_size: int) -> list[OffsetTable]:
     """The GTS, GSS, RRS and register tables of one set by Mobius inversion
     of counts evaluated at every box point: union-find lattice counts for
     an SIV-separable set, one group per copy otherwise.
 
     :func:`build_tables` takes this path for the sets the keyed classes of
-    :func:`repro.unroll.streams.keyed_counts` do not cover, and for every
-    set in the seed construction (``fast=False``: one evaluation per table
-    and point, scan-only box sums); the parity checks use it as the oracle
-    of the keyed path.
+    :func:`repro.unroll.streams.keyed_counts` do not cover; the parity
+    checks use it as the oracle of the keyed path.
     """
     dims = space.dims
     if is_analyzable(group):
@@ -382,25 +369,18 @@ def counted_tables(group: UniformlyGeneratedSet, space: UnrollSpace,
         def streams(u):
             return conservative_chains(group, u, dims)
 
-    if fast:
-        def count(u):
-            summary = streams(u)
-            return (count_gts(u), count_gss(u), summary.memory_ops,
-                    summary.registers)
+    def count(u):
+        summary = streams(u)
+        return (count_gts(u), count_gss(u), summary.memory_ops,
+                summary.registers)
 
-        return OffsetTable.from_counts_multi(space, count, 4)
-    return [OffsetTable.from_counts(space, count_gts, prefix=False),
-            OffsetTable.from_counts(space, count_gss, prefix=False),
-            OffsetTable.from_counts(space, lambda u: streams(u).memory_ops,
-                                    prefix=False),
-            OffsetTable.from_counts(space, lambda u: streams(u).registers,
-                                    prefix=False)]
+    return OffsetTable.from_counts_multi(space, count, 4)
 
 def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
                  trip: int = 100,
                  localized: VectorSpace | None = None,
                  ugs: list[UniformlyGeneratedSet] | None = None,
-                 fast: bool = True, ugs_cache=None) -> UnrollTables:
+                 ugs_cache=None) -> UnrollTables:
     """Build the GTS/GSS/RRS/RL tables for every UGS of ``nest``.
 
     ``localized`` is the cache-localized space (default: innermost loop).
@@ -409,24 +389,18 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
     reuses the one from its analysis artifacts).  An SIV-separable set
     under an axis-spanned ``localized`` is counted from keyed location
     classes (:func:`repro.unroll.streams.keyed_counts`); every other set
-    goes through :func:`counted_tables`.  ``fast=False`` runs the seed
-    construction -- :func:`counted_tables` for every set, one count per
-    table and scan-only box sums -- kept for the parity suite and the
-    cold-analysis benchmark's seed measurement.
+    goes through :func:`counted_tables`.
 
     ``ugs_cache`` (a :class:`repro.engine.ugscache.UgsTableCache`, or any
     object with the same ``key_for``/``fetch``/``store`` surface)
     memoizes per-set tables under their canonical signature, so sets seen
-    in *any* previously built nest are served in O(1).  Consulted only on
-    the fast path -- seed-mode builds (``fast=False`` or inside
-    :func:`repro.fastpath.seed_algorithms`) always recompute.
+    in *any* previously built nest are served in O(1).
     """
     localized = localized if localized is not None else innermost_localized_space(nest)
     sets = partition_ugs(nest) if ugs is None else ugs
-    use_cache = ugs_cache is not None and fast and fast_enabled()
     per_ugs: list[UgsTables] = []
     for group in sets:
-        if use_cache:
+        if ugs_cache is not None:
             cache_key = ugs_cache.key_for(group, space, localized,
                                           line_size, trip)
             cached = ugs_cache.fetch(cache_key, group)
@@ -435,16 +409,15 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
                 continue
         base, _, _ = self_reuse_base(group.matrix, localized, line_size,
                                      trip)
-        keyed = (keyed_counts(group, space, localized, line_size)
-                 if fast else None)
+        keyed = keyed_counts(group, space, localized, line_size)
         if keyed is not None:
             tables = OffsetTable.from_counts_multi(space, keyed, 4)
         else:
-            tables = counted_tables(group, space, localized, line_size, fast)
+            tables = counted_tables(group, space, localized, line_size)
         gts, gss, rrs, registers = tables
         entry = UgsTables(ugs=group, base_cost=base, gts=gts, gss=gss,
                           rrs=rrs, registers=registers)
-        if use_cache:
+        if ugs_cache is not None:
             ugs_cache.store(cache_key, entry)
         per_ugs.append(entry)
-    return UnrollTables(nest, space, line_size, trip, per_ugs, fast=fast)
+    return UnrollTables(nest, space, line_size, trip, per_ugs)

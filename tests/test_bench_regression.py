@@ -37,8 +37,7 @@ BASE_SERVE = {"throughput_rps": 1200.0, "latency_p95_s": 0.004,
               "wire_p50_ratio": 0.35, "wire_binary_rps": 3000.0}
 BASE_CLUSTER = {"cluster_throughput_rps": 800.0,
                 "merged_compute_rate": 1.0}
-BASE_COLD = {"cold_nests_per_sec": 100.0, "speedup_vs_seed": 2.2,
-             "seed_nests_per_sec": 45.0, "bound": 4.0,
+BASE_COLD = {"cold_nests_per_sec": 100.0, "bound": 4.0,
              "build_tables_p95_s": 0.02}
 BASE_PREDICT = {"held_out_top1": 0.88, "fast_decisions_per_sec": 4000.0}
 BASE_REUSE = {"direct_mean_abs_error": 0.033,
@@ -54,12 +53,10 @@ def engine_results(nests_per_sec: float = 40.0,
     return {"cold": {"nests_per_sec": nests_per_sec},
             "warm": {"tables_hit_rate": hit_rate}}
 
-def cold_results(nests_per_sec: float = 100.0, speedup: float = 2.2,
-                 seed_nps: float = 45.0, tables_p95: float = 0.02) -> dict:
+def cold_results(nests_per_sec: float = 100.0,
+                 tables_p95: float = 0.02) -> dict:
     return {"bound": 4,
             "fast": {"nests_per_sec": nests_per_sec},
-            "seed": {"nests_per_sec": seed_nps},
-            "speedup_vs_seed": speedup,
             "stage_p95_s": {"build_tables": tables_p95}}
 
 def serve_results(rps: float = 1200.0, p95: float = 0.004,
@@ -218,15 +215,14 @@ class TestCheckAndUpdate:
                                         serve_results(),
                                         DEFAULT_BASELINES)
         rows, ok = regression.check(results, baselines, 0.25)
-        assert ok and len(rows) == 26
+        assert ok and len(rows) == 24
 
     def test_check_fails_on_2x_slowdown_tree(self, tmp_path):
         results, baselines = write_tree(
             tmp_path, engine_results(nests_per_sec=20.0),
             serve_results(rps=600.0, p95=0.008), DEFAULT_BASELINES,
             cluster=cluster_results(rps=400.0, merged=0.4),
-            cold=cold_results(nests_per_sec=50.0, speedup=1.1,
-                              tables_p95=0.04))
+            cold=cold_results(nests_per_sec=50.0, tables_p95=0.04))
         rows, ok = regression.check(results, baselines, 0.25)
         assert not ok
         failed = {(row["benchmark"], row["metric"])
@@ -237,7 +233,6 @@ class TestCheckAndUpdate:
                           ("cluster_throughput", "cluster_throughput_rps"),
                           ("cluster_throughput", "merged_compute_rate"),
                           ("cold_analysis", "cold_nests_per_sec"),
-                          ("cold_analysis", "speedup_vs_seed"),
                           ("cold_analysis", "build_tables_p95_s")}
 
     def test_missing_results_file_fails(self, tmp_path):
@@ -303,7 +298,7 @@ class TestMainAndTable:
         assert table.startswith("### Benchmark regression gate")
         assert "| benchmark | metric | baseline | current | delta " \
             "| status |" in table
-        assert table.count("✅") == 26
+        assert table.count("✅") == 24
         # One data row per tracked metric, rendered as a pipe table.
         data_rows = [line for line in table.splitlines()
                      if line.startswith("| engine_throughput")
@@ -314,7 +309,7 @@ class TestMainAndTable:
                      or line.startswith("| reuse_profile")
                      or line.startswith("| simd")
                      or line.startswith("| ugs_cache")]
-        assert len(data_rows) == 26
+        assert len(data_rows) == 24
         capsys.readouterr()
 
     def test_committed_baselines_are_wellformed(self):

@@ -135,7 +135,7 @@ class TestTablesAndSpaceErrors:
 
     def test_offset_table_box_sum_empty_dims(self):
         space = UnrollSpace(2, (), ())
-        table = OffsetTable.from_counts(space, lambda u: 7)
+        [table] = OffsetTable.from_counts_multi(space, lambda u: (7,), 1)
         assert table.box_sum(()) == 7
 
     def test_negative_bounds_rejected(self):

@@ -1,17 +1,20 @@
-"""Parity fuzz for the cold-path fast algorithms against the seed paths.
+"""Parity fuzz for the cold-path integer algorithms against the rational
+references.
 
-Three layers, each comparing an optimized algorithm to the retained seed
-implementation on randomized inputs:
+Three layers, each comparing an optimized algorithm to its reference on
+randomized inputs:
 
 * Bareiss (fraction-free) elimination vs Fraction Gauss-Jordan -- rank,
   nullspace and solve must be bit-identical on integer and rational
   matrices (the RREF of a matrix is unique, so they must agree exactly).
-* Summed-area ``box_sum`` vs the seed ``box_sum_scan`` on random increment
+* Summed-area ``box_sum`` vs the ``box_sum_scan`` on random increment
   tables, including negative increments and fractional values.
-* End-to-end ``choose_unroll``: the optimized construction (shared stream
-  chains, prefix tables, pruned search, memoized predicates) vs the seed
-  mode (``fast=False, prune=False`` under ``seed_algorithms()``) on the
-  whole kernel corpus and on randomized nests.
+* End-to-end ``choose_unroll`` and ``build_tables``: the integer paths
+  (Bareiss, the closed-form SIV kernel, keyed table and locality counts)
+  vs the same calls under :func:`tests.reference.rational_reference`
+  (Fraction elimination, the rational solvers, union-find table counts
+  and pairwise locality scores) on the whole kernel corpus and on
+  randomized nests.
 
 Together with the per-case loops below, well over 1000 randomized
 matrices/tables/nests are exercised.
@@ -22,7 +25,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.fastpath import seed_algorithms
 from repro.kernels import all_kernels
 from repro.linalg import Matrix
 from repro.machine.presets import dec_alpha, future_wide
@@ -30,6 +32,7 @@ from repro.unroll.optimize import choose_unroll
 from repro.unroll.space import UnrollSpace
 from repro.unroll.tables import OffsetTable, build_tables
 
+from tests.reference import rational_reference
 from tests.test_fuzz_agreement import adversarial_nest
 
 def random_matrix(rng: random.Random, integral: bool) -> Matrix:
@@ -55,16 +58,16 @@ def test_bareiss_matches_fraction_elimination(integral):
         fast_rank = m.rank()
         fast_null = m.nullspace()
         fast_sol = m.solve(rhs)
-        # Fresh (uncached) equivalent matrix for the seed pass.
-        seed_m = Matrix([list(row) for row in m.rows])
-        with seed_algorithms():
-            assert seed_m.rank() == fast_rank, case
-            assert seed_m.nullspace() == fast_null, case
-            seed_sol = seed_m.solve(rhs)
-        assert bool(seed_sol) == bool(fast_sol), case
+        # Fresh (uncached) equivalent matrix for the reference pass.
+        ref_m = Matrix([list(row) for row in m.rows])
+        with rational_reference():
+            assert ref_m.rank() == fast_rank, case
+            assert ref_m.nullspace() == fast_null, case
+            ref_sol = ref_m.solve(rhs)
+        assert bool(ref_sol) == bool(fast_sol), case
         if fast_sol:
-            assert seed_sol.particular == fast_sol.particular, case
-            assert seed_sol.homogeneous == fast_sol.homogeneous, case
+            assert ref_sol.particular == fast_sol.particular, case
+            assert ref_sol.homogeneous == fast_sol.homogeneous, case
 
 def test_box_sum_matches_scan():
     rng = random.Random(7)
@@ -88,24 +91,23 @@ def _some_offsets(rng, bounds):
 
 def test_box_sum_falls_back_outside_box():
     # Hand-built table with an increment outside the declared box keeps
-    # the seed scan (no prefix array can represent it).
+    # the scan (no prefix array can represent it).
     table = OffsetTable((0,), (1,), {(5,): Fraction(3)})
     assert table.box_sum((1,)) == Fraction(0)
     assert table.box_sum((5,)) == Fraction(3)
 
-def _seed_choose(nest, machine, bound):
-    with seed_algorithms():
-        return choose_unroll(nest, machine, bound=bound, prune=False,
-                             fast=False)
+def _reference_choose(nest, machine, bound):
+    with rational_reference():
+        return choose_unroll(nest, machine, bound=bound)
 
 @pytest.mark.parametrize("machine", [dec_alpha(), future_wide()],
                          ids=["dec_alpha", "future_wide"])
 def test_corpus_parity(machine):
     for kernel in all_kernels():
         fast = choose_unroll(kernel.nest, machine, bound=4)
-        seed = _seed_choose(kernel.nest, machine, bound=4)
-        assert fast.unroll == seed.unroll, kernel.name
-        assert fast.breakdown == seed.breakdown, kernel.name
+        ref = _reference_choose(kernel.nest, machine, bound=4)
+        assert fast.unroll == ref.unroll, kernel.name
+        assert fast.breakdown == ref.breakdown, kernel.name
 
 @pytest.mark.parametrize("seed", range(10))
 def test_randomized_nest_parity(seed):
@@ -113,19 +115,19 @@ def test_randomized_nest_parity(seed):
     machine = dec_alpha()
     nest = adversarial_nest(rng, f"parity{seed}")
     fast = choose_unroll(nest, machine, bound=3)
-    ref = _seed_choose(nest, machine, bound=3)
+    ref = _reference_choose(nest, machine, bound=3)
     assert fast.unroll == ref.unroll, seed
     assert fast.breakdown == ref.breakdown, seed
 
 @pytest.mark.parametrize("seed", range(6))
 def test_randomized_tables_parity(seed):
-    """Fast and seed table constructions agree point-by-point."""
+    """Integer and rational table constructions agree point-by-point."""
     rng = random.Random(9000 + seed)
     nest = adversarial_nest(rng, f"tables{seed}")
     space = UnrollSpace(3, (0, 1), (2, 2))
     fast = build_tables(nest, space, line_size=4, trip=100)
-    with seed_algorithms():
-        ref = build_tables(nest, space, line_size=4, trip=100, fast=False)
+    with rational_reference():
+        ref = build_tables(nest, space, line_size=4, trip=100)
     for u in space:
         a, b = fast.point(u), ref.point(u)
         for field in ("gts", "gss", "memory_ops", "registers",

@@ -25,12 +25,19 @@ import time
 
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.engine import AnalysisEngine
+from repro.kernels import kernel_by_name
+from repro.serve import protocol
 from repro.serve.batcher import BatchConfig, MicroBatcher, Overloaded
 from repro.serve.client import Client, build_workload, run_load
 from repro.serve.protocol import parse_request, ProtocolError
-from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.server import (
+    PARENT_ID_HEADER,
+    TRACE_ID_HEADER,
+    ServeConfig,
+    ServerThread,
+)
 
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -501,6 +508,48 @@ class TestGracefulShutdown:
         flushed = json.loads(metrics_out.read_text())
         assert flushed["metrics"]["counters"]["serve.requests"] == \
             len(kernels)
+
+class TestRequestTracing:
+    """Both encodings open one ``serve.request`` span that adopts the
+    router's trace headers, and the engine work nests under it."""
+
+    @pytest.fixture
+    def tracer(self):
+        fresh = obs.Tracer(enabled=True)
+        previous = obs.set_tracer(fresh)
+        try:
+            yield fresh
+        finally:
+            obs.set_tracer(previous)
+
+    @pytest.mark.parametrize("path", ["/v1/optimize", "/v2/frame"])
+    def test_request_span_adopts_remote_trace(self, tracer, path):
+        nest = kernel_by_name("jacobi").nest
+        doc = {"nest": api.serialize_nest(nest), "bound": 3}
+        if path == "/v2/frame":
+            body = protocol.encode_request_frame(
+                "optimize", doc, key=nest.structural_key())
+            content_type = protocol.CONTENT_TYPE_FRAME
+        else:
+            body = json.dumps(doc).encode()
+            content_type = "application/json"
+        with _server() as handle:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                              timeout=30)
+            conn.request("POST", path, body=body, headers={
+                "content-type": content_type,
+                TRACE_ID_HEADER: "feedc0de", PARENT_ID_HEADER: "router-1"})
+            response = conn.getresponse()
+            response.read()
+            conn.close()
+        assert response.status == 200
+        [request] = [s for s in tracer.spans() if s.name == "serve.request"]
+        assert (request.trace_id, request.parent_id) == \
+            ("feedc0de", "router-1")
+        assert request.attrs["path"] == path
+        [execute] = [s for s in tracer.spans() if s.name == "serve.execute"]
+        assert execute.trace_id == "feedc0de"
+        assert execute.parent_id == request.span_id
 
 class TestProtocolUnits:
     def test_parse_request_validates(self):

@@ -2,18 +2,18 @@
 
 For SIV-separable integer H and axis-spanned L, the group-reuse solve, the
 spatial predicate, the self-reuse dimensions and the merge solver answer
-from :mod:`repro.linalg.siv`; under ``seed_algorithms()`` they run the
-rational elimination instead.  Both must agree exactly -- including the
-group witness and the full :class:`MergeSolution` -- on random inputs, and
-inputs outside the class (non-SIV H, non-axis L) must still agree with
-the seed path.
+from :mod:`repro.linalg.siv`; under
+:func:`tests.reference.rational_reference` they run the rational
+elimination instead.  Both must agree exactly --
+including the group witness and the full :class:`MergeSolution` -- on
+random inputs, and inputs outside the class (non-SIV H, non-axis L) must
+still agree with the rational path.
 """
 
 import random
 
 import pytest
 
-from repro.fastpath import seed_algorithms
 from repro.linalg import Matrix, VectorSpace, siv
 from repro.reuse.group import _solve_in_space, spatial_constants_related
 from repro.reuse.selfreuse import (
@@ -22,6 +22,8 @@ from repro.reuse.selfreuse import (
     localized_temporal_dim,
 )
 from repro.unroll.merge import solve_merge
+
+from tests.reference import rational_reference
 
 CASES = 600
 
@@ -56,13 +58,13 @@ def run_all(matrix: Matrix, delta, localized: VectorSpace, dims,
                     line_size=line_size),
     )
 
-def seed_run_all(matrix: Matrix, delta, localized: VectorSpace, dims,
-                 spatial: bool, line_size):
-    # Fresh, equal objects: nothing cached on the fast pass is reused.
+def reference_run_all(matrix: Matrix, delta, localized: VectorSpace, dims,
+                      spatial: bool, line_size):
+    # Fresh, equal objects: nothing cached on the integer pass is reused.
     fresh_matrix = Matrix([list(row) for row in matrix.rows],
                           ncols=matrix.ncols)
     fresh_space = VectorSpace(localized.basis, localized.dimension_ambient)
-    with seed_algorithms():
+    with rational_reference():
         assert siv.closed_form(fresh_matrix, fresh_space) is None
         return run_all(fresh_matrix, delta, fresh_space, dims, spatial,
                        line_size)
@@ -83,9 +85,9 @@ def test_kernel_matches_rational_path():
         line_size = rng.choice([None, 2, 4])
         assert siv.closed_form(matrix, localized) is not None, case
         fast = run_all(matrix, delta, localized, dims, spatial, line_size)
-        seed = seed_run_all(matrix, delta, localized, dims, spatial,
-                            line_size)
-        assert fast == seed, (case, matrix, delta, localized, dims,
+        ref = reference_run_all(matrix, delta, localized, dims, spatial,
+                                line_size)
+        assert fast == ref, (case, matrix, delta, localized, dims,
                               spatial, line_size)
         covered += 1
         merged += fast[-1] is not None
@@ -116,9 +118,9 @@ def test_uncovered_shapes_take_the_rational_path(rows, localized):
         spatial = rng.random() < 0.5
         line_size = rng.choice([None, 2, 4])
         fast = run_all(matrix, delta, localized, dims, spatial, line_size)
-        seed = seed_run_all(matrix, delta, localized, dims, spatial,
-                            line_size)
-        assert fast == seed, (case, delta, dims, spatial, line_size)
+        ref = reference_run_all(matrix, delta, localized, dims, spatial,
+                                line_size)
+        assert fast == ref, (case, delta, dims, spatial, line_size)
 
 def test_siv_rows_and_axes():
     assert Matrix([[0, 2, 0], [0, 0, 0], [-1, 0, 0]]).siv_rows() == (

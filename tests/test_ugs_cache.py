@@ -136,18 +136,6 @@ class TestCacheUnit:
         with pytest.raises(ValueError):
             UgsTableCache(capacity=0)
 
-    def test_seed_mode_bypasses_cache(self):
-        from repro.fastpath import seed_algorithms
-
-        metrics = Metrics()
-        cache = UgsTableCache(metrics=metrics)
-        nest = _shifted_nest("a", 0)
-        build_tables(nest, _space(nest), fast=False, ugs_cache=cache)
-        with seed_algorithms():
-            build_tables(nest, _space(nest), ugs_cache=cache)
-        assert len(cache) == 0
-        assert metrics.snapshot()["counters"] == {}
-
 class TestParityFuzz:
     """Cached tables are bit-identical to fresh builds: >= 500 seeded
     nests through one shared cache, cycling line sizes, trips and
