@@ -5,7 +5,7 @@ For every uniformly generated set of the 1740 seed-1997 perfbench inputs
 200-input slice of them at bound 8 (the default bound), the tables that
 :func:`repro.unroll.tables.build_tables` returns must be identical to the
 union-find tables of :func:`repro.unroll.tables.counted_tables`: the same
-``base_cost`` and the same GTS, GSS, RRS and register increment dicts.
+``base_cost`` and the same GTS, GSS, RRS and register count arrays.
 The search box of each nest is the paper's (section 4.5), derived from the
 public dependence, safety and locality analyses, on the ``alpha`` machine.
 The integer locality scores of
@@ -114,7 +114,7 @@ def mismatches(nest, space: UnrollSpace, line: int) -> tuple[int, list[str]]:
             wrong.append(f"{nest.name} {entry.ugs.pretty()}: base_cost")
         for name, have, want in zip(("gts", "gss", "rrs", "registers"),
                                     got, expected):
-            if have.increments != want.increments:
+            if have.counts != want.counts:
                 wrong.append(f"{nest.name} {entry.ugs.pretty()}: {name}")
     return len(built.per_ugs), wrong
 

@@ -25,6 +25,7 @@ from repro.dependence.siv import STAR
 from repro.ir.matrixform import RefOccurrence, constant_vector, occurrences
 from repro.ir.nodes import LoopNest
 from repro.machine.model import MachineModel
+from repro.reuse.unionfind import UnionFind
 from repro.unroll.space import UnrollSpace, UnrollVector, body_copies
 from repro.unroll.tables import UnrollPoint
 from repro.unroll.transform import unroll_and_jam
@@ -42,21 +43,6 @@ def _register_consistent(distance, depth: int) -> bool:
             return False
     return True
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-
-    def find(self, item):
-        while self.parent[item] != item:
-            self.parent[item] = self.parent[self.parent[item]]
-            item = self.parent[item]
-        return item
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
 def dependence_reference_groups(nest: LoopNest,
                                 graph: DependenceGraph | None = None
                                 ) -> list[list[RefOccurrence]]:
@@ -65,17 +51,17 @@ def dependence_reference_groups(nest: LoopNest,
     if graph is None:
         graph = build_dependence_graph(nest, include_input=True)
     occs = occurrences(nest)
-    uf = _UnionFind([o.position for o in occs])
+    index = {occ.position: i for i, occ in enumerate(occs)}
+    uf = UnionFind(len(occs))
     for dep in graph:
         if dep.kind not in ("flow", "input", "output"):
             continue
         if _register_consistent(dep.distance, nest.depth):
-            uf.union(dep.src.position, dep.dst.position)
-    groups: dict[int, list[RefOccurrence]] = {}
-    for occ in occs:
-        groups.setdefault(uf.find(occ.position), []).append(occ)
-    return [sorted(members, key=lambda o: o.position)
-            for _, members in sorted(groups.items())]
+            uf.union(index[dep.src.position], index[dep.dst.position])
+    # occurrences() is in position order, so sorting by root index is
+    # sorting by the root's position, and each component is sorted.
+    return [[occs[i] for i in nodes]
+            for _, nodes in sorted(uf.components().items())]
 
 def _group_chains(group: list[RefOccurrence],
                   inner_name: str) -> tuple[int, int]:

@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 #: Bump when the on-disk key derivation or payload layout changes.
-DISK_FORMAT_VERSION = 2
+DISK_FORMAT_VERSION = 3
 
 class _LRU:
     """A bounded mapping with least-recently-used eviction.

@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover -- type names only
 __all__ = ["UgsTableCache", "ugs_digest", "ugs_signature"]
 
 #: Bump when the signature derivation or the serialized payload changes.
-UGS_FORMAT_VERSION = 2
+UGS_FORMAT_VERSION = 3
 
 def ugs_signature(group: UniformlyGeneratedSet, space: UnrollSpace,
                   localized: VectorSpace, line_size: int,
@@ -68,7 +68,14 @@ def ugs_signature(group: UniformlyGeneratedSet, space: UnrollSpace,
     constants maximizes cross-nest sharing without changing a single
     table value.  Member positions enter only as their rank order (the
     touch-time tie-break compares positions, never their values).
+
+    H enters as its int rows and an axis-spanned ``localized`` as its
+    axes: both are canonical (a Fraction row equals and hashes like its
+    int row; an axis space's basis is the unit vectors of its axes), so
+    equal sets keep equal keys without hashing Fractions per probe.
     """
+    rows = group.matrix.integer_rows()
+    axes = localized.axes()
     members = group.members
     consts = group.constants()
     base = consts[0]
@@ -81,12 +88,13 @@ def ugs_signature(group: UniformlyGeneratedSet, space: UnrollSpace,
         ranks[member] = rank
     return (
         UGS_FORMAT_VERSION,
-        group.matrix.rows,
+        rows if rows is not None else group.matrix.rows,
         normalized,
         tuple(m.is_write for m in members),
         tuple(ranks),
         space.depth, space.dims, space.bounds,
-        localized.dimension_ambient, localized.basis,
+        localized.dimension_ambient,
+        axes if axes is not None else localized.basis,
         line_size, trip,
     )
 

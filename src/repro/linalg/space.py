@@ -54,16 +54,21 @@ class VectorSpace:
         """The span of the given coordinate axes (0-indexed, outer first).
 
         ``spanned_by_axes([n-1], n)`` is the usual "innermost loop only"
-        localized space.
+        localized space.  The RREF basis of distinct unit vectors is those
+        vectors in axis order, so it is built without elimination.
         """
-        vectors = []
-        for axis in axes:
+        chosen = tuple(sorted(set(axes)))
+        for axis in chosen:
             if not 0 <= axis < ambient:
                 raise ValueError(f"axis {axis} out of range for ambient {ambient}")
-            vec = [Fraction(0)] * ambient
-            vec[axis] = Fraction(1)
-            vectors.append(vec)
-        return VectorSpace(vectors, ambient)
+        zero, one = Fraction(0), Fraction(1)
+        space = object.__new__(VectorSpace)
+        object.__setattr__(space, "dimension_ambient", ambient)
+        object.__setattr__(space, "basis", tuple(
+            tuple(one if i == axis else zero for i in range(ambient))
+            for axis in chosen))
+        object.__setattr__(space, "_axes", chosen)
+        return space
 
     # -- queries --------------------------------------------------------------
 

@@ -20,9 +20,10 @@ JSON (load in ``chrome://tracing`` or https://ui.perfetto.dev) or, with
 ``REPRO_LOG=json``, emitted as one structured JSON log line per span.
 
 The disabled path is a near-no-op: :func:`span` checks one attribute and
-yields ``None`` without allocating a span, so leaving tracing off costs
-well under the 2% budget on the engine benchmarks (docs/OBSERVABILITY.md
-records the measurement).
+returns one shared null context that yields ``None`` -- no generator, no
+span -- and :func:`activate` does the same for a ``None`` context, so
+leaving tracing off costs well under the 2% budget on the engine
+benchmarks (docs/OBSERVABILITY.md records the measurement).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import sys
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import IO, Iterable, Iterator, Mapping
+from contextlib import contextmanager, nullcontext
+from typing import IO, ContextManager, Iterable, Iterator, Mapping
 
 __all__ = [
     "LOG_ENV",
@@ -292,19 +293,25 @@ def current_span_id() -> str | None:
     ctx = _context.get()
     return ctx[1] if ctx else None
 
-@contextmanager
-def span(name: str, tracer: Tracer | None = None, **attrs) -> Iterator[
-        Span | None]:
+#: The context :func:`span` and :func:`activate` return when there is
+#: nothing to record or adopt: reusable, and it yields ``None``.
+_NULL_CONTEXT = nullcontext()
+
+def span(name: str, tracer: Tracer | None = None,
+         **attrs) -> ContextManager[Span | None]:
     """Open a child span of the current context (or a new trace root).
 
     Yields the open :class:`Span` (``span.set(key=value)`` attaches
     attributes) -- or ``None`` when tracing is disabled, in which case
-    the only cost is this check.
+    the only cost is this check and a shared null context.
     """
     active = tracer if tracer is not None else _TRACER
     if not active.enabled:
-        yield None
-        return
+        return _NULL_CONTEXT
+    return _open_span(active, name, attrs)
+
+@contextmanager
+def _open_span(active: Tracer, name: str, attrs: dict) -> Iterator[Span]:
     ctx = _context.get()
     if ctx is None:
         trace_id, parent_id = active.new_trace_id(), None
@@ -319,14 +326,17 @@ def span(name: str, tracer: Tracer | None = None, **attrs) -> Iterator[
         span_obj.finish()
         active.record(span_obj)
 
-@contextmanager
-def activate(context: tuple[str, str] | None) -> Iterator[None]:
+def activate(context: tuple[str, str] | None) -> ContextManager[None]:
     """Adopt a remote ``(trace_id, span_id)`` parent context -- the
     propagation primitive for executor threads and pool workers.  A
-    ``None`` context is a no-op, so call sites need no branching."""
+    ``None`` context is a no-op (the shared null context), so call sites
+    need no branching."""
     if context is None:
-        yield
-        return
+        return _NULL_CONTEXT
+    return _adopt(context)
+
+@contextmanager
+def _adopt(context: tuple[str, str]) -> Iterator[None]:
     token = _context.set((context[0], context[1]))
     try:
         yield

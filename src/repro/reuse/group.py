@@ -22,6 +22,7 @@ from repro.ir.matrixform import RefOccurrence, constant_vector
 from repro.linalg import Matrix, VectorSpace, siv
 from repro.linalg.matrix import int_fraction
 from repro.reuse.ugs import UniformlyGeneratedSet
+from repro.reuse.unionfind import UnionFind
 
 @dataclass(frozen=True)
 class GroupSolution:
@@ -171,34 +172,17 @@ def group_spatial_solution(ugs: UniformlyGeneratedSet,
                              tuple(Fraction(0) for _ in range(ugs.matrix.ncols)))
     return NO_GROUP_REUSE
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
 def _partition(ugs: UniformlyGeneratedSet, related) -> list[tuple[RefOccurrence, ...]]:
     members = ugs.members
-    uf = _UnionFind(len(members))
+    uf = UnionFind(len(members))
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             if related(members[i], members[j]):
                 uf.union(i, j)
-    groups: dict[int, list[RefOccurrence]] = {}
-    for i, member in enumerate(members):
-        groups.setdefault(uf.find(i), []).append(member)
     # Members are already in lexicographic order, so each group is too and
-    # group order follows each group's leader.
-    return [tuple(groups[root]) for root in sorted(groups)]
+    # group order follows each group's leader (its smallest member).
+    return [tuple(members[i] for i in nodes)
+            for nodes in uf.components().values()]
 
 def group_temporal_partition(ugs: UniformlyGeneratedSet,
                              localized: VectorSpace) -> list[tuple[RefOccurrence, ...]]:

@@ -42,8 +42,13 @@ class UniformlyGeneratedSet:
         """H_S: first (contiguous, column-major) dimension dropped."""
         return self.matrix.with_zero_row(0)
 
+    @cached_property
+    def _constants(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(constant_vector(m.ref) for m in self.members)
+
     def constants(self) -> list[tuple[int, ...]]:
-        return [constant_vector(m.ref) for m in self.members]
+        """The members' constant vectors, in member order (a fresh list)."""
+        return list(self._constants)
 
     @property
     def size(self) -> int:
@@ -53,32 +58,29 @@ class UniformlyGeneratedSet:
         refs = ", ".join(m.pretty() for m in self.members)
         return f"UGS[{self.array}: {refs}]"
 
-def _ugs_key(occ: RefOccurrence, index_names: tuple[str, ...]):
-    return (occ.array,
-            reference_matrix(occ.ref, index_names),
-            param_signature(occ.ref))
-
 def partition_ugs(nest: LoopNest) -> list[UniformlyGeneratedSet]:
     """Partition all occurrences of a nest into uniformly generated sets.
 
     The result is ordered by first textual appearance; members inside each
-    set follow lexicographic constant-vector order.
+    set follow lexicographic constant-vector order.  References group by
+    their integer coefficient rows (the rows of H); the Fraction matrix is
+    built once per set.
     """
     index_names = nest.index_names
-    groups: dict[object, list[RefOccurrence]] = {}
-    order: list[object] = []
+    groups: dict[tuple, list[RefOccurrence]] = {}
     for occ in occurrences(nest):
-        key = _ugs_key(occ, index_names)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(occ)
+        subs = occ.ref.subscripts
+        rows = tuple(tuple(sub.coeff(name) for name in index_names)
+                     for sub in subs)
+        groups.setdefault((occ.array, rows, param_signature(occ.ref)),
+                          []).append(occ)
 
     sets = []
-    for key in order:
-        members = sorted(groups[key],
+    for group in groups.values():
+        members = sorted(group,
                          key=lambda o: (constant_vector(o.ref), o.position))
-        array, matrix, _ = key
-        sets.append(UniformlyGeneratedSet(array, matrix, tuple(members),
-                                          index_names))
+        first = members[0]
+        sets.append(UniformlyGeneratedSet(
+            first.array, reference_matrix(first.ref, index_names),
+            tuple(members), index_names))
     return sets

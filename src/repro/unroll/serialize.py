@@ -3,9 +3,11 @@
 A production compiler would compute the tables once per nest and reuse
 them across compilation phases (or cache them between builds); this module
 serializes an :class:`repro.unroll.tables.UnrollTables` to JSON and back.
-Fractions are stored exactly as ``"p/q"`` strings; the nest itself is
-stored as its printer text and re-parsed on load, so a round-tripped table
-is usable standalone.
+Each table is stored as its row-major int counts over the box (format
+v3; the v1/v2 payloads stored the paper's per-offset increments and are
+refused).  Fractions are stored exactly as ``"p/q"`` strings; the nest
+itself is stored as its printer text and re-parsed on load, so a
+round-tripped table is usable standalone.
 """
 
 from __future__ import annotations
@@ -31,25 +33,34 @@ def _frac_from_str(text: str) -> Fraction:
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den or 1))
 
+#: The payload ``format`` strings of whole-nest and per-UGS tables.
+TABLES_FORMAT = "repro-unroll-tables-v3"
+UGS_TABLES_FORMAT = "repro-ugs-tables-v3"
+
 def _offset_table_to_dict(table: OffsetTable) -> dict:
-    return {
-        "dims": list(table.dims),
-        "bounds": list(table.bounds),
-        "entries": [
-            {"offset": list(offset), "value": _frac_to_str(Fraction(value))}
-            for offset, value in sorted(table.increments.items())],
-    }
+    return {"dims": list(table.dims), "bounds": list(table.bounds),
+            "counts": table.counts}
 
 def _offset_table_from_dict(data: dict) -> OffsetTable:
-    increments = {tuple(entry["offset"]): _frac_from_str(entry["value"])
-                  for entry in data["entries"]}
-    return OffsetTable(tuple(data["dims"]), tuple(data["bounds"]),
-                       increments)
+    counts = data["counts"]
+    if not all(type(c) is int for c in counts):
+        raise SerializationError("table counts must be integers")
+    return OffsetTable(tuple(data["dims"]), tuple(data["bounds"]), counts)
+
+def _ugs_tables_from_dict(data: dict, ugs) -> UgsTables:
+    return UgsTables(
+        ugs=ugs,
+        base_cost=_frac_from_str(data["base_cost"]),
+        gts=_offset_table_from_dict(data["gts"]),
+        gss=_offset_table_from_dict(data["gss"]),
+        rrs=_offset_table_from_dict(data["rrs"]),
+        registers=_offset_table_from_dict(data["registers"]),
+    )
 
 def tables_to_json(tables: UnrollTables) -> str:
     """Serialize tables (and the nest they describe) to a JSON string."""
     payload = {
-        "format": "repro-unroll-tables-v1",
+        "format": TABLES_FORMAT,
         "nest": format_nest(tables.nest),
         "nest_name": tables.nest.name,
         "line_size": tables.line_size,
@@ -81,7 +92,7 @@ def ugs_tables_to_json(entry: UgsTables) -> str:
     per distinct set, far more than whole-nest entries.
     """
     payload = {
-        "format": "repro-ugs-tables-v1",
+        "format": UGS_TABLES_FORMAT,
         "base_cost": _frac_to_str(entry.base_cost),
         "gts": _offset_table_to_dict(entry.gts),
         "gss": _offset_table_to_dict(entry.gss),
@@ -99,17 +110,10 @@ def ugs_tables_from_json(text: str, ugs) -> UgsTables:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise SerializationError(f"not JSON: {err}") from None
-    if payload.get("format") != "repro-ugs-tables-v1":
+    if payload.get("format") != UGS_TABLES_FORMAT:
         raise SerializationError("unknown UGS table format")
     try:
-        return UgsTables(
-            ugs=ugs,
-            base_cost=_frac_from_str(payload["base_cost"]),
-            gts=_offset_table_from_dict(payload["gts"]),
-            gss=_offset_table_from_dict(payload["gss"]),
-            rrs=_offset_table_from_dict(payload["rrs"]),
-            registers=_offset_table_from_dict(payload["registers"]),
-        )
+        return _ugs_tables_from_dict(payload, ugs)
     except (KeyError, TypeError, ValueError) as err:
         raise SerializationError(f"malformed UGS tables: {err}") from None
 
@@ -124,9 +128,16 @@ def tables_from_json(text: str) -> UnrollTables:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise SerializationError(f"not JSON: {err}") from None
-    if payload.get("format") != "repro-unroll-tables-v1":
+    if payload.get("format") != TABLES_FORMAT:
         raise SerializationError("unknown table format")
+    try:
+        return _tables_from_payload(payload)
+    except SerializationError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise SerializationError(f"malformed tables: {err}") from None
 
+def _tables_from_payload(payload: dict) -> UnrollTables:
     nest = parse_nest(payload["nest"], name=payload["nest_name"])
     space = UnrollSpace(payload["space"]["depth"],
                         tuple(payload["space"]["dims"]),
@@ -141,13 +152,6 @@ def tables_from_json(text: str) -> UnrollTables:
             raise SerializationError(
                 f"serialized tables lack UGS {key} of nest "
                 f"{payload['nest_name']}")
-        per_ugs.append(UgsTables(
-            ugs=ugs,
-            base_cost=_frac_from_str(entry["base_cost"]),
-            gts=_offset_table_from_dict(entry["gts"]),
-            gss=_offset_table_from_dict(entry["gss"]),
-            rrs=_offset_table_from_dict(entry["rrs"]),
-            registers=_offset_table_from_dict(entry["registers"]),
-        ))
+        per_ugs.append(_ugs_tables_from_dict(entry, ugs))
     return UnrollTables(nest, space, payload["line_size"], payload["trip"],
                         per_ugs)

@@ -33,6 +33,7 @@ from typing import Callable, Iterator
 from repro.linalg import Matrix, VectorSpace, siv
 from repro.linalg.matrix import int_fraction
 from repro.reuse.ugs import UniformlyGeneratedSet
+from repro.reuse.unionfind import UnionFind
 from repro.unroll.merge import MergeSolution, solve_merge
 from repro.unroll.space import UnrollSpace, UnrollVector, box_tuple
 
@@ -49,42 +50,6 @@ def used_dims(matrix: Matrix, dims: tuple[int, ...],
 
 def _offsets(u: UnrollVector, dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from box_tuple(tuple(u[d] + 1 for d in dims))
-
-class _UnionFind:
-    """Union-find over dense integer nodes ``0..n-1`` (flat list parents).
-
-    Lattice nodes are linearized as ``member * box_size + offset_index``
-    (row-major offsets).  :meth:`components` lists components in the
-    order their roots are discovered.
-    """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, count: int):
-        self.parent = list(range(count))
-
-    def find(self, node: int) -> int:
-        parent = self.parent
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def component_count(self) -> int:
-        return sum(1 for node, up in enumerate(self.parent) if node == up)
-
-    def components(self) -> dict[int, list[int]]:
-        groups: dict[int, list[int]] = {}
-        for node in range(len(self.parent)):
-            groups.setdefault(self.find(node), []).append(node)
-        return groups
 
 def _box_geometry(u: UnrollVector,
                   reduced: tuple[int, ...]) -> tuple[tuple[int, ...],
@@ -122,7 +87,7 @@ def _clipped_indices(k: tuple[int, ...],
     return tuple(sum(c * s for c, s in zip(coords, strides))
                  for coords in product(*ranges))
 
-def _union_merges(uf: _UnionFind, merges: list["PairMerge"],
+def _union_merges(uf: UnionFind, merges: list["PairMerge"],
                   sizes: tuple[int, ...], strides: tuple[int, ...],
                   box_size: int) -> None:
     """Apply every pair merge across the whole box, in merge order and,
@@ -176,7 +141,7 @@ def group_count(ugs: UniformlyGeneratedSet, u: UnrollVector,
     if merges is None:
         merges = pairwise_merges(ugs, dims, localized, spatial, line_size)
     sizes, strides, box_size = _box_geometry(u, reduced)
-    uf = _UnionFind(ugs.size * box_size)
+    uf = UnionFind(ugs.size * box_size)
     _union_merges(uf, merges, sizes, strides, box_size)
     return uf.component_count()
 
@@ -312,7 +277,7 @@ def group_count_spatial(ugs: UniformlyGeneratedSet, u: UnrollVector,
     if relations is None:
         relations = spatial_relations(ugs, dims, localized)
     sizes, strides, box_size = _box_geometry(u, reduced)
-    uf = _UnionFind(ugs.size * box_size)
+    uf = UnionFind(ugs.size * box_size)
     spans = [range(-u[d], u[d] + 1) for d in reduced]
     diffs = list(product(*spans)) if reduced else [()]
     for rel in relations:
@@ -407,7 +372,7 @@ def stream_chains(ugs: UniformlyGeneratedSet, u: UnrollVector,
 
     sizes, strides, box_size = _box_geometry(u, reduced)
     box = box_tuple(sizes)
-    uf = _UnionFind(ugs.size * box_size)
+    uf = UnionFind(ugs.size * box_size)
     _union_merges(uf, merges, sizes, strides, box_size)
 
     time_row = _inner_time_row(ugs.matrix)

@@ -1,12 +1,17 @@
 """The precomputed unroll tables (Figures 2, 3, 5 and 7 of the paper).
 
 For every quantity the paper tabulates -- group-temporal sets, group-spatial
-sets, register-reuse sets and register pressure -- we store a table of
-*per-offset increments* T[u'] whose box sum over ``u' <= u`` yields the
-value at unroll vector u (the paper's ``Sum`` function, Figure 2).  The
-increments are obtained by Mobius inversion of the exact lattice counts of
-:mod:`repro.unroll.streams`; the box-sum identity is exact by construction
-and cross-checked against the brute-force baseline in the test suite.
+sets, register-reuse sets and register pressure -- we store the exact count
+at every point of the unroll box, row-major, as plain ints.  The counts
+come from :mod:`repro.unroll.streams` (keyed location classes, or the
+union-find lattice counts) and are cross-checked against the brute-force
+baseline in the test suite.
+
+The paper stores per-offset increments T[u'] instead and answers with the
+box sum over ``u' <= u`` (its ``Sum`` function, Figure 2).  The dense
+counts are that box sum evaluated once at every point, so ``Sum`` becomes
+an index; :mod:`repro.unroll.paper_tables` keeps the increment form as the
+documented transcription of the paper's pseudocode.
 
 Once built, answering "what are M, R, g_T, g_S at unroll u?" costs a table
 lookup -- no unrolled data structure is ever materialized, which is the
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from operator import add
 from typing import Callable
@@ -40,154 +44,65 @@ from repro.unroll.streams import (
     stream_chains,
 )
 
+def _row_major_strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    return tuple(strides)
+
 class OffsetTable:
-    """Per-offset increments over the unroll box, queried by box sum.
+    """One quantity's exact count at every point of the unroll box.
 
-    ``table[u'] = T(u')`` such that ``sum(T(u') for u' <= u) = count(u)``;
-    entries may be negative (merges remove groups).
-
-    The constructor also materializes the *inclusive prefix sums*
-    (summed-area table) of the increments over the box, so :meth:`box_sum`
-    answers in O(1) instead of scanning every increment.  The scan,
-    :meth:`box_sum_scan`, answers for tables whose increments fall outside
-    the declared box and is the reference the parity suite compares
-    against.
+    ``counts[i]`` is the value at the reduced point (over ``dims``) whose
+    row-major index is ``i``; the box spans ``0..bounds[k]`` per dim.
     """
 
     def __init__(self, dims: tuple[int, ...], bounds: tuple[int, ...],
-                 increments: dict[tuple[int, ...], Fraction]):
-        self.dims = dims
-        self.bounds = bounds
-        self.increments = increments
-        self._sizes = tuple(b + 1 for b in bounds)
-        strides = [1] * len(bounds)
-        for i in range(len(bounds) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self._sizes[i + 1]
-        self._strides = tuple(strides)
-        self._prefix = self._build_prefix()
-
-    def counts(self) -> list[int] | None:
-        """The value at every box point as plain ints, in row-major order
-        (the inclusive prefix sums), or None when the table has no
-        integral in-box prefix (hand-built with fractional or out-of-box
-        increments)."""
-        prefix = self._prefix
-        if prefix is None or isinstance(prefix[0], Fraction):
-            return None
-        return prefix
-
-    def _build_prefix(self) -> list | None:
-        """Dense inclusive prefix sums over the box, or None when an
-        increment lies outside it (hand-built tables keep the scan)."""
-        sizes, strides = self._sizes, self._strides
+                 counts: list[int]):
+        sizes = tuple(b + 1 for b in bounds)
         total = 1
         for size in sizes:
             total *= size
-        placed: list[tuple[int, Fraction | int]] = []
-        integral = True
-        for offset, inc in self.increments.items():
-            if len(offset) != len(sizes):
-                return None
-            idx = 0
-            for o, size, stride in zip(offset, sizes, strides):
-                if not 0 <= o < size:
-                    return None
-                idx += o * stride
-            if isinstance(inc, Fraction):
-                if inc.denominator == 1:
-                    inc = inc.numerator
-                else:
-                    integral = False
-            placed.append((idx, inc))
-        # Integer increments (the common case: all four table kinds count
-        # groups, memory ops or registers) accumulate as plain ints.
-        cells: list = [0] * total if integral else [Fraction(0)] * total
-        for idx, inc in placed:
-            cells[idx] += inc
-        # One accumulation pass per axis turns increments into inclusive
-        # N-D prefix sums.
-        for axis, size in enumerate(sizes):
-            stride = strides[axis]
-            block = stride * size
-            for base in range(0, total, block):
-                for off in range(stride, block):
-                    cells[base + off] += cells[base + off - stride]
-        return cells
+        if len(dims) != len(bounds) or len(counts) != total:
+            raise ValueError(f"{len(counts)} counts for dims {dims} and "
+                             f"bounds {bounds} ({total} points)")
+        self.dims = dims
+        self.bounds = bounds
+        self.counts = counts
+        self._sizes = sizes
+        self._strides = _row_major_strides(sizes)
 
     @staticmethod
     def from_counts_multi(space: UnrollSpace,
                           count: Callable[[UnrollVector], tuple],
                           width: int) -> list["OffsetTable"]:
-        """Mobius-invert a tuple-valued count into ``width`` tables: the
-        increment at u' is the inclusion-exclusion difference over u's
-        lower neighbours.
+        """Evaluate a tuple-valued count once at every box point into
+        ``width`` tables, one per component -- this is how the four
+        tables of a set share one stream-chain computation per point."""
+        embed = space.embed
+        rows = [count(embed(reduced)) for reduced in space.reduced_box()]
+        columns = [list(column) for column in zip(*rows)]
+        if len(columns) != width:
+            raise ValueError(f"count yields {len(columns)} values, "
+                             f"expected {width}")
+        return [OffsetTable(space.dims, space.bounds, column)
+                for column in columns]
 
-        ``count`` is evaluated **once** per unroll point and each component
-        of its result feeds one table -- this is how the RRS and register
-        tables share a single stream-chain computation per point.  Counts
-        keep their native type (the lattice counters all return ints);
-        :meth:`box_sum` normalizes to Fraction at the query boundary.
-        """
-        cache: dict[tuple[int, ...], tuple] = {}
-        zero = (0,) * width
-
-        def counted(reduced: tuple[int, ...]) -> tuple:
-            if any(c < 0 for c in reduced):
-                return zero
-            got = cache.get(reduced)
-            if got is None:
-                got = tuple(count(space.embed(reduced)))
-                cache[reduced] = got
-            return got
-
-        increments: list[dict[tuple[int, ...], Fraction]] = [
-            {} for _ in range(width)]
-        ndims = len(space.dims)
-        corners = tuple(product((0, 1), repeat=ndims))
-        for reduced in space.reduced_box():
-            totals = [0] * width
-            for signs in corners:
-                neighbour = tuple(r - s for r, s in zip(reduced, signs))
-                values = counted(neighbour)
-                if sum(signs) % 2:
-                    for i in range(width):
-                        totals[i] -= values[i]
-                else:
-                    for i in range(width):
-                        totals[i] += values[i]
-            for i in range(width):
-                increments[i][reduced] = totals[i]
-        return [OffsetTable(space.dims, space.bounds, inc)
-                for inc in increments]
-
-    def box_sum(self, reduced: tuple[int, ...]) -> Fraction:
-        """The paper's Sum (Figure 2): accumulate increments over u' <= u.
-
-        O(1) against the prefix sums: coordinates clamp to the box (the
-        increments live inside it) and any negative coordinate selects the
-        empty box.
-        """
-        prefix = self._prefix
-        if prefix is None or len(reduced) != len(self._sizes):
-            return self.box_sum_scan(reduced)
+    def box_sum(self, reduced: tuple[int, ...]) -> int:
+        """The paper's Sum (Figure 2) at ``reduced``: an index into the
+        counts.  Coordinates above the box clamp to it (the paper's
+        increments live inside it) and any negative coordinate selects
+        the empty box."""
+        if len(reduced) != len(self._sizes):
+            raise ValueError("reduced vector length mismatch")
         idx = 0
         for r, size, stride in zip(reduced, self._sizes, self._strides):
             if r < 0:
-                return Fraction(0)
+                return 0
             if r >= size:
                 r = size - 1
             idx += r * stride
-        value = prefix[idx]
-        return value if isinstance(value, Fraction) else int_fraction(value)
-
-    def box_sum_scan(self, reduced: tuple[int, ...]) -> Fraction:
-        """The O(|increments|) scan: the answer for out-of-box increments
-        and the reference for the parity tests."""
-        total = Fraction(0)
-        for offset, inc in self.increments.items():
-            if all(o <= r for o, r in zip(offset, reduced)):
-                total += inc
-        return total
+        return self.counts[idx]
 
 @dataclass(frozen=True)
 class UgsTables:
@@ -222,8 +137,6 @@ class _Aggregate:
     sums: list[list[int]]
     denominator: int
 
-_UNBUILT = object()
-
 class UnrollTables:
     """Precomputed model of a nest over an unroll space (section 4).
 
@@ -239,48 +152,44 @@ class UnrollTables:
         self.line_size = line_size
         self.trip = trip
         self.per_ugs = per_ugs
+        for entry in per_ugs:
+            for table in (entry.gts, entry.gss, entry.rrs, entry.registers):
+                if table.dims != space.dims or table.bounds != space.bounds:
+                    raise ValueError(
+                        f"table box {table.dims}/{table.bounds} differs "
+                        f"from the unroll space {space.dims}/{space.bounds}")
         self._base_flops = nest.flops_per_iteration()
         self._points: dict[UnrollVector, UnrollPoint] = {}
-        self._aggregate = _UNBUILT
+        self._aggregate: _Aggregate | None = None
 
-    def _build_aggregate(self) -> "_Aggregate | None":
-        """Whole-nest counts at every box point, or None when some set's
-        table has no integral in-box prefix (then :meth:`_compute_point`
-        accumulates per set).
+    def _build_aggregate(self) -> _Aggregate:
+        """Whole-nest counts at every box point: the elementwise sums of
+        every set's count columns.
 
-        Each set's prefix array already holds its counts at every box
-        point, so the whole-nest counts are their elementwise sums.  The
-        cache cost ``base * (g_S + (g_T - g_S) / ℓ)`` is
+        The cache cost ``base * (g_S + (g_T - g_S) / ℓ)`` is
         ``base * (g_T + (ℓ-1) g_S) / ℓ``; over the common denominator
         ``ℓ * lcm(base denominators)`` each set adds an integer multiple
         of that weight, so the cache cost too is one int array and one
-        Fraction per point -- equal to the per-set accumulation.
+        Fraction per point.
         """
         space = self.space
         line = self.line_size
-        columns = []
-        for entry in self.per_ugs:
-            tables = (entry.rrs, entry.registers, entry.gts, entry.gss)
-            if any(t.dims != space.dims or t.bounds != space.bounds
-                   for t in tables):
-                return None
-            counts = [t.counts() for t in tables]
-            if any(c is None for c in counts):
-                return None
-            columns.append((entry.base_cost, counts))
         scale = 1
-        for base, _ in columns:
-            scale = lcm(scale, base.denominator)
+        for entry in self.per_ugs:
+            scale = lcm(scale, entry.base_cost.denominator)
         sums = [[0] * len(space) for _ in range(5)]
-        for base, (rrs, registers, gts, gss) in columns:
+        for entry in self.per_ugs:
+            base = entry.base_cost
             factor = base.numerator * (scale // base.denominator)
-            weights = (factor * (t + (line - 1) * g) for t, g in zip(gts, gss))
-            for k, column in enumerate((rrs, registers, gts, gss, weights)):
+            weights = (factor * (t + (line - 1) * g)
+                       for t, g in zip(entry.gts.counts, entry.gss.counts))
+            for k, column in enumerate((entry.rrs.counts,
+                                        entry.registers.counts,
+                                        entry.gts.counts, entry.gss.counts,
+                                        weights)):
                 sums[k] = list(map(add, sums[k], column))
-        strides = [1] * len(space.bounds)
-        for i in range(len(strides) - 2, -1, -1):
-            strides[i] = strides[i + 1] * (space.bounds[i + 1] + 1)
-        return _Aggregate(tuple(strides), sums, scale * line)
+        strides = _row_major_strides(tuple(b + 1 for b in space.bounds))
+        return _Aggregate(strides, sums, scale * line)
 
     def point(self, u: UnrollVector) -> UnrollPoint:
         if u not in self._points:
@@ -290,11 +199,9 @@ class UnrollTables:
     def _compute_point(self, u: UnrollVector) -> UnrollPoint:
         if not self.space.contains(u):
             raise ValueError(f"unroll vector {u} outside the table space")
-        if self._aggregate is _UNBUILT:
-            self._aggregate = self._build_aggregate()
         agg = self._aggregate
         if agg is None:
-            return self._per_set_point(u)
+            agg = self._aggregate = self._build_aggregate()
         idx = 0
         for dim, stride in zip(self.space.dims, agg.strides):
             idx += u[dim] * stride
@@ -305,37 +212,14 @@ class UnrollTables:
             int_fraction(registers[idx]), int_fraction(gts[idx]),
             int_fraction(gss[idx]), Fraction(cost[idx], agg.denominator))
 
-    def _per_set_point(self, u: UnrollVector) -> UnrollPoint:
-        """The point at ``u`` by accumulating each set's box sums in
-        Fractions: the path for tables without an integral prefix, equal
-        to the aggregate wherever both apply."""
-        reduced = self.space.project(u)
-        memory_ops = Fraction(0)
-        registers = Fraction(0)
-        gts_total = Fraction(0)
-        gss_total = Fraction(0)
-        cache_cost = Fraction(0)
-        line = Fraction(self.line_size)
-        for entry in self.per_ugs:
-            g_t = entry.gts.box_sum(reduced)
-            g_s = entry.gss.box_sum(reduced)
-            memory_ops += entry.rrs.box_sum(reduced)
-            registers += entry.registers.box_sum(reduced)
-            gts_total += g_t
-            gss_total += g_s
-            cache_cost += entry.base_cost * (g_s + (g_t - g_s) / line)
-        flops = int_fraction(self._base_flops * body_copies(u))
-        return UnrollPoint(u, flops, memory_ops, registers, gts_total,
-                           gss_total, cache_cost)
-
     def all_points(self) -> list[UnrollPoint]:
         return [self.point(u) for u in self.space]
 
 def counted_tables(group: UniformlyGeneratedSet, space: UnrollSpace,
                    localized: VectorSpace, line_size: int) -> list[OffsetTable]:
-    """The GTS, GSS, RRS and register tables of one set by Mobius inversion
-    of counts evaluated at every box point: union-find lattice counts for
-    an SIV-separable set, one group per copy otherwise.
+    """The GTS, GSS, RRS and register tables of one set from counts
+    evaluated at every box point: union-find lattice counts for an
+    SIV-separable set, one group per copy otherwise.
 
     :func:`build_tables` takes this path for the sets the keyed classes of
     :func:`repro.unroll.streams.keyed_counts` do not cover; the parity

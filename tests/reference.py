@@ -18,17 +18,46 @@ test can run the same public entry point both ways and compare:
 ``Matrix.siv_rows`` is left alone on purpose: the conservative-set test
 (``streams.is_analyzable``) reads it, so hiding it would send every set
 down the conservative path and change the decisions.
+
+:func:`count_increments` and :func:`paper_sum` are the paper's table form
+(per-offset increments and the ``Sum`` scan of Figure 2), the reference
+the dense count tables of :class:`repro.unroll.tables.OffsetTable` are
+compared against.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
+from itertools import product
 from typing import Iterator
 from unittest import mock
 
 import repro.unroll.optimize
 from repro.linalg import Matrix, siv
 from repro.reuse.locality import pairwise_locality_scores
+
+def count_increments(counts: list[int], bounds: tuple[int, ...]
+                     ) -> dict[tuple[int, ...], int]:
+    """The paper's per-offset increments of a row-major count table over
+    the box ``0..bounds[k]``: the inclusion-exclusion difference over each
+    point's lower neighbours (a bijection with the counts)."""
+    box = list(product(*(range(b + 1) for b in bounds)))
+    value = dict(zip(box, counts))
+    increments = {}
+    for point in box:
+        total = 0
+        for signs in product((0, 1), repeat=len(bounds)):
+            lower = tuple(p - s for p, s in zip(point, signs))
+            if min(lower, default=0) >= 0:
+                total += (-1) ** sum(signs) * value[lower]
+        increments[point] = total
+    return increments
+
+def paper_sum(increments: dict[tuple[int, ...], int],
+              query: tuple[int, ...]) -> int:
+    """The paper's Sum (Figure 2): every increment at an offset <= query."""
+    return sum(inc for offset, inc in increments.items()
+               if all(o <= q for o, q in zip(offset, query)))
 
 def _fraction_rank(matrix: Matrix) -> int:
     _, pivots = matrix._rref_fraction()

@@ -142,8 +142,8 @@ def test_refusal_shape():
     for u in space:
         assert counts(u)[0] == b_set.size * (u[1] + 1)
 
-def _increments(tables):
-    return [table.increments for table in tables]
+def _counts(tables):
+    return [table.counts for table in tables]
 
 def test_non_innermost_localized_tables():
     """L != innermost (merges for GTS differ from the register merges):
@@ -158,7 +158,7 @@ def test_non_innermost_localized_tables():
             for entry in built.per_ugs:
                 expected = counted_tables(entry.ugs, space, localized, 4)
                 got = [entry.gts, entry.gss, entry.rrs, entry.registers]
-                assert _increments(got) == _increments(expected), \
+                assert _counts(got) == _counts(expected), \
                     (nest.name, axes, entry.ugs.array)
 
 def test_corpus_tables_match_union_find():
@@ -179,5 +179,5 @@ def test_corpus_tables_match_union_find():
                                     4) is not None
             expected = counted_tables(entry.ugs, space, localized, 4)
             got = [entry.gts, entry.gss, entry.rrs, entry.registers]
-            assert _increments(got) == _increments(expected), nest.name
+            assert _counts(got) == _counts(expected), nest.name
     assert keyed > 50

@@ -7,8 +7,9 @@ randomized inputs:
 * Bareiss (fraction-free) elimination vs Fraction Gauss-Jordan -- rank,
   nullspace and solve must be bit-identical on integer and rational
   matrices (the RREF of a matrix is unique, so they must agree exactly).
-* Summed-area ``box_sum`` vs the ``box_sum_scan`` on random increment
-  tables, including negative increments and fractional values.
+* The dense-count ``box_sum`` index vs the paper's ``Sum`` (a scan over
+  the per-offset increments of one difference pass) on random count
+  tables, including negative increments and queries outside the box.
 * End-to-end ``choose_unroll`` and ``build_tables``: the integer paths
   (Bareiss, the closed-form SIV kernel, keyed table and locality counts)
   vs the same calls under :func:`tests.reference.rational_reference`
@@ -32,7 +33,7 @@ from repro.unroll.optimize import choose_unroll
 from repro.unroll.space import UnrollSpace
 from repro.unroll.tables import OffsetTable, build_tables
 
-from tests.reference import rational_reference
+from tests.reference import count_increments, paper_sum, rational_reference
 from tests.test_fuzz_agreement import adversarial_nest
 
 def random_matrix(rng: random.Random, integral: bool) -> Matrix:
@@ -72,29 +73,19 @@ def test_bareiss_matches_fraction_elimination(integral):
 def test_box_sum_matches_scan():
     rng = random.Random(7)
     for case in range(300):
-        ndims = rng.randint(1, 3)
+        ndims = rng.randint(0, 3)
         dims = tuple(range(ndims))
         bounds = tuple(rng.randint(0, 3) for _ in range(ndims))
-        increments = {}
-        for offset in _some_offsets(rng, bounds):
-            value = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 4]))
-            increments[offset] = value
-        table = OffsetTable(dims, bounds, increments)
+        size = 1
+        for b in bounds:
+            size *= b + 1
+        counts = [rng.randint(-6, 6) for _ in range(size)]
+        table = OffsetTable(dims, bounds, counts)
+        increments = count_increments(counts, bounds)
         for _ in range(8):
             query = tuple(rng.randint(-1, b + 2) for b in bounds)
-            assert table.box_sum(query) == table.box_sum_scan(query), \
+            assert table.box_sum(query) == paper_sum(increments, query), \
                 (case, query)
-
-def _some_offsets(rng, bounds):
-    count = rng.randint(0, 6)
-    return {tuple(rng.randint(0, b) for b in bounds) for _ in range(count)}
-
-def test_box_sum_falls_back_outside_box():
-    # Hand-built table with an increment outside the declared box keeps
-    # the scan (no prefix array can represent it).
-    table = OffsetTable((0,), (1,), {(5,): Fraction(3)})
-    assert table.box_sum((1,)) == Fraction(0)
-    assert table.box_sum((5,)) == Fraction(3)
 
 def _reference_choose(nest, machine, bound):
     with rational_reference():

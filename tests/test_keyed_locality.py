@@ -6,7 +6,7 @@ give the same g_T and g_S as the pairwise partitions of
 :func:`repro.reuse.locality.loop_locality_scores` the same values as the
 Fraction scores of :func:`pairwise_locality_scores`.  The whole-nest int
 columns of :class:`repro.unroll.tables.UnrollTables` must answer every box
-point exactly as the per-set Fraction accumulation does.  A strided
+point exactly as a per-set Fraction accumulation of the count tables does.  A strided
 contiguous subscript (``A(8*I)`` next to ``A(8*I+4)``) pins the circular
 run rule against the brute-force measurement.
 """
@@ -29,10 +29,11 @@ from repro.reuse.locality import (
     ugs_memory_cost,
 )
 from repro.reuse.ugs import partition_ugs
-from repro.unroll.space import UnrollSpace
+from repro.unroll.space import UnrollSpace, body_copies
 from repro.unroll.tables import (
     OffsetTable,
     UgsTables,
+    UnrollPoint,
     UnrollTables,
     build_tables,
     counted_tables,
@@ -167,8 +168,7 @@ def test_strided_contiguous_tables_match_brute_force(step, offset, bound):
     for entry in tables.per_ugs:
         expected = counted_tables(entry.ugs, space, localized, 4)
         got = (entry.gts, entry.gss, entry.rrs, entry.registers)
-        assert [t.increments for t in got] == \
-            [t.increments for t in expected]
+        assert [t.counts for t in got] == [t.counts for t in expected]
     for u in space:
         measured = measure_unrolled(nest, u, line_size=4, trip=TRIP)
         point = tables.point(u)
@@ -190,11 +190,27 @@ def test_strided_repro_values():
         assert (point.gss, point.cache_cost) == (gss, cost)
 
 def _per_set_points(tables):
-    """Every box point through the per-set Fraction accumulation."""
-    return [tables._per_set_point(u) for u in tables.space]
+    """Every box point by accumulating each set's counts in Fractions:
+    the reference the whole-nest int columns must equal."""
+    line = Fraction(tables.line_size)
+    points = []
+    for u in tables.space:
+        reduced = tables.space.project(u)
+        memory_ops = registers = gts = gss = cost = Fraction(0)
+        for entry in tables.per_ugs:
+            g_t = Fraction(entry.gts.box_sum(reduced))
+            g_s = Fraction(entry.gss.box_sum(reduced))
+            memory_ops += entry.rrs.box_sum(reduced)
+            registers += entry.registers.box_sum(reduced)
+            gts += g_t
+            gss += g_s
+            cost += entry.base_cost * (g_s + (g_t - g_s) / line)
+        flops = Fraction(tables.nest.flops_per_iteration() * body_copies(u))
+        points.append(UnrollPoint(u, flops, memory_ops, registers, gts, gss,
+                                  cost))
+    return points
 
 def _assert_aggregate_matches(tables):
-    assert tables._build_aggregate() is not None
     assert [tables.point(u) for u in tables.space] == _per_set_points(tables)
 
 def test_aggregate_matches_per_set_accumulation_on_corpus():
@@ -228,15 +244,16 @@ def test_aggregate_mixes_equation_one_bases():
     assert bases == {Fraction(1, TRIP), Fraction(1, 4), Fraction(1)}
     _assert_aggregate_matches(tables)
 
-def test_hand_built_tables_keep_per_set_loop():
+def test_hand_built_count_tables_aggregate():
+    """A hand-built count table (not from any counter) goes through the
+    same int columns as built ones."""
     nest = _strided(8, 4)
     space = UnrollSpace(nest.depth, (0,), (2,))
     built = build_tables(nest, space, trip=TRIP)
     [entry] = built.per_ugs
-    half = OffsetTable(space.dims, space.bounds, {(0,): Fraction(1, 2)})
-    odd = UgsTables(entry.ugs, entry.base_cost, half, entry.gss, entry.rrs,
-                    entry.registers)
-    tables = UnrollTables(nest, space, 4, TRIP, [odd])
-    assert tables._build_aggregate() is None
+    odd = OffsetTable(space.dims, space.bounds, [1, 3, 7])
+    tables = UnrollTables(nest, space, 4, TRIP,
+                          [UgsTables(entry.ugs, entry.base_cost, odd,
+                                     entry.gss, entry.rrs, entry.registers)])
     assert [tables.point(u) for u in space] == _per_set_points(tables)
-    assert tables.point((2, 0)).gts == Fraction(1, 2)
+    assert [tables.point(u).gts for u in space] == [1, 3, 7]

@@ -27,6 +27,16 @@ class TestBasics:
         assert inner.contains([0, 0, 5])
         assert not inner.contains([0, 1, 0])
 
+    def test_axis_span_equals_eliminated_span(self):
+        for axes in ([], [2], [0, 2], [2, 0, 2], [1, 0, 3, 2]):
+            direct = VectorSpace.spanned_by_axes(axes, 4)
+            units = [[int(i == a) for i in range(4)] for a in axes]
+            eliminated = VectorSpace(units, 4)
+            assert direct == eliminated
+            assert direct.basis == eliminated.basis
+            assert direct.axes() == eliminated.axes() == \
+                tuple(sorted(set(axes)))
+
     def test_axis_out_of_range(self):
         with pytest.raises(ValueError):
             VectorSpace.spanned_by_axes([3], 3)

@@ -91,6 +91,20 @@ class TestSpans:
             obs.set_tracer(previous)
         assert len(disabled) == 0
 
+    def test_disabled_span_is_one_shared_null_context(self):
+        disabled = obs.Tracer(enabled=False)
+        previous = obs.set_tracer(disabled)
+        try:
+            first = obs.span("a")
+            assert obs.span("b", key=1) is first
+            assert obs.activate(None) is first
+            with first as inner:
+                with first as nested:
+                    assert inner is None and nested is None
+        finally:
+            obs.set_tracer(previous)
+        assert len(disabled) == 0
+
     def test_ring_buffer_drops_oldest(self):
         small = obs.Tracer(enabled=True, buffer_size=5)
         previous = obs.set_tracer(small)
