@@ -4,8 +4,8 @@ For every uniformly generated set of the 1740 seed-1997 perfbench inputs
 (``perfbench/common.workload_nests``) at bound 4, and of a seeded
 200-input slice of them at bound 8 (the default bound), the tables that
 :func:`repro.unroll.tables.build_tables` returns must be identical to the
-union-find tables of :func:`repro.unroll.tables.counted_tables`: the same
-``base_cost`` and the same GTS, GSS, RRS and register count arrays.
+union-find tables of :func:`counted_tables` (``tests/reference.py``): the
+same ``base_cost`` and the same GTS, GSS, RRS and register count arrays.
 The search box of each nest is the paper's (section 4.5), derived from the
 public dependence, safety and locality analyses, on the ``alpha`` machine.
 The integer locality scores of
@@ -35,7 +35,7 @@ import sys
 import time
 
 _REPO = pathlib.Path(__file__).resolve().parent.parent
-for _path in (_REPO / "src", _REPO / "perfbench"):
+for _path in (_REPO, _REPO / "src", _REPO / "perfbench"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
@@ -55,7 +55,8 @@ from repro.reuse.ugs import partition_ugs  # noqa: E402
 from repro.unroll.optimize import select_candidate_loops  # noqa: E402
 from repro.unroll.safety import safe_unroll_bounds  # noqa: E402
 from repro.unroll.space import UnrollSpace  # noqa: E402
-from repro.unroll.tables import build_tables, counted_tables  # noqa: E402
+from repro.unroll.tables import build_tables  # noqa: E402
+from tests.reference import counted_tables  # noqa: E402
 
 INPUTS = 1740
 SLICE = 200

@@ -7,15 +7,16 @@ The copies of a UGS's members form a lattice ``members x box(u)``, and the
 counts are connected components / chains of that lattice.
 
 Two forms compute them.  :func:`keyed_counts` answers every point of the
-box at once for SIV-separable sets under an axis-spanned localized space
-(the tables' production path): each copy gets a class key row by row, and
-one slab-by-slab sweep over the box counts the classes, runs and chains.
-The union-find counters (:func:`group_count`, :func:`group_count_spatial`,
-:func:`stream_chains`) take merge relations from the merge-point solver
-and answer one point at a time.  They are the oracle the keyed form is
-tested against, the path for every other set, and what the ``dims=()``
-callers use (scalar replacement, its code generator, the prefetch
-planner and the brute-force baseline).
+box at once and is the only way the tables count a set: on an
+SIV-separable set under an axis-spanned localized space each copy gets a
+class key row by row, and one slab-by-slab sweep over the box counts the
+classes, runs and chains; outside the SIV class no copies merge, so the
+counts are products of copy counts.  :func:`stream_chains` takes merge
+relations from the merge-point solver and answers one point at a time;
+the ``dims=()`` callers use it (scalar replacement, its code generator,
+the prefetch planner and the brute-force baseline).  The union-find
+lattice counters the keyed form is tested against live in
+``tests/reference.py``.
 
 Everything here is validated against the brute-force baseline that does
 materialize the unrolled body (tests/test_tables_vs_bruteforce.py).
@@ -26,7 +27,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
@@ -65,7 +65,6 @@ def _box_geometry(u: UnrollVector,
         total *= size
     return sizes, tuple(strides), total
 
-@lru_cache(maxsize=16384)
 def _clipped_indices(k: tuple[int, ...],
                      sizes: tuple[int, ...]) -> tuple[int, ...]:
     """Linear indices of every offset ``b`` with both ``b`` and ``b + k``
@@ -126,175 +125,6 @@ def pairwise_merges(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
             if sol is not None:
                 merges.append(PairMerge(i, j, sol))
     return merges
-
-def group_count(ugs: UniformlyGeneratedSet, u: UnrollVector,
-                dims: tuple[int, ...], localized: VectorSpace,
-                spatial: bool = False,
-                line_size: int | None = None,
-                merges: list[PairMerge] | None = None) -> int:
-    """Number of reuse groups (GTS or GSS) among all copies at unroll u.
-
-    Copy ``i @ (b + k)`` and copy ``j @ b`` share a group when k solves the
-    pair's merge equation; components of that relation are the groups.
-    """
-    reduced = used_dims(ugs.matrix, dims, spatial)
-    if merges is None:
-        merges = pairwise_merges(ugs, dims, localized, spatial, line_size)
-    sizes, strides, box_size = _box_geometry(u, reduced)
-    uf = UnionFind(ugs.size * box_size)
-    _union_merges(uf, merges, sizes, strides, box_size)
-    return uf.component_count()
-
-@dataclass(frozen=True)
-class SpatialRelation:
-    """How copies of members i and j of a UGS share cache lines.
-
-    Copies ``i @ a`` and ``j @ b`` are group-spatial related when
-    ``a - b`` equals ``det_offset`` on the determined dimensions and the
-    first-dimension residual, after the free (contiguous-dimension)
-    offsets move it, stays within a line:
-
-        |base_residual - sum(h_k * f_k)| < line_size
-
-    When row 0's driver lies in L the localized motion slides the residual
-    by multiples of ``lattice = |h_0|``, so its distance to the nearest
-    lattice point must stay within a line instead (the fold of
-    :func:`repro.linalg.siv.spatial_related`).
-    """
-
-    i: int
-    j: int
-    det_dims: tuple[int, ...]  # positions into the reduced dim tuple
-    det_offset: tuple[int, ...]
-    free_dims: tuple[int, ...]  # positions into the reduced dim tuple
-    free_coeffs: tuple[int, ...]
-    base_residual: int
-    lattice: int  # |h_0| when row 0's driver lies in L, else 0
-
-    def relates(self, d: tuple[int, ...], line_size: int | None) -> bool:
-        """Is offset difference ``d`` (over the reduced dims) related?"""
-        for pos, need in zip(self.det_dims, self.det_offset):
-            if d[pos] != need:
-                return False
-        if line_size is None:
-            return True
-        if self.lattice:
-            folded = self.base_residual % self.lattice
-            return min(folded, self.lattice - folded) < line_size
-        residual = self.base_residual
-        for pos, coef in zip(self.free_dims, self.free_coeffs):
-            residual -= coef * d[pos]
-        return abs(residual) < line_size
-
-def spatial_relations(ugs: UniformlyGeneratedSet, dims: tuple[int, ...],
-                      localized: VectorSpace) -> list[SpatialRelation]:
-    """Pairwise spatial-relation skeletons for an SIV-separable UGS.
-
-    ``dims`` are the unrolled loop levels; the reduced coordinate system
-    is ``used_dims(H, dims)`` (all dims the UGS touches -- including those
-    feeding only the contiguous first array dimension, which temporal
-    analysis may ignore but spatial analysis must keep: their copies land
-    on nearby words).  Self relations (i == j) are included: copies of one
-    reference share lines with each other.
-    """
-    matrix = ugs.matrix
-    reduced = used_dims(matrix, dims, spatial=False)
-    dim_pos = {dim: pos for pos, dim in enumerate(reduced)}
-    consts = ugs.constants()
-    depth = matrix.ncols
-    rows = matrix.siv_rows()
-    in_space = [entry is not None and localized.contains(
-        tuple(int(k == entry[0]) for k in range(depth)))
-        for entry in rows]
-
-    relations: list[SpatialRelation] = []
-    for i in range(len(consts)):
-        for j in range(i, len(consts)):
-            delta = [cj - ci for ci, cj in zip(consts[i], consts[j])]
-            det: dict[int, int] = {}
-            free_dims: list[int] = []
-            free_coeffs: list[int] = []
-            base_residual = delta[0]
-            lattice = 0
-            feasible = True
-            for row_idx, (entry, in_l) in enumerate(zip(rows, in_space)):
-                driver, coef = entry if entry is not None else (None, 0)
-                if row_idx == 0:
-                    if driver is None:
-                        continue
-                    if in_l:
-                        lattice = abs(coef)
-                    elif driver in dim_pos:
-                        free_dims.append(dim_pos[driver])
-                        free_coeffs.append(coef)
-                    # a non-unrolled, non-localized driver: copies cannot
-                    # move along it; the fixed delta stays in the residual
-                    continue
-                need = delta[row_idx]
-                if driver is None:
-                    if need != 0:
-                        feasible = False
-                        break
-                    continue
-                step, rem = divmod(need, coef)
-                if rem:
-                    feasible = False
-                    break
-                if in_l:
-                    continue
-                if driver in dim_pos:
-                    det[dim_pos[driver]] = step
-                    continue
-                if need != 0:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            relations.append(SpatialRelation(
-                i=i, j=j,
-                det_dims=tuple(sorted(det)),
-                det_offset=tuple(det[k] for k in sorted(det)),
-                free_dims=tuple(free_dims),
-                free_coeffs=tuple(free_coeffs),
-                base_residual=base_residual,
-                lattice=lattice,
-            ))
-    return relations
-
-def group_count_spatial(ugs: UniformlyGeneratedSet, u: UnrollVector,
-                        dims: tuple[int, ...], localized: VectorSpace,
-                        line_size: int | None,
-                        relations: list[SpatialRelation] | None = None) -> int:
-    """Number of group-spatial sets among all copies at unroll u.
-
-    Unlike the temporal count, spatial edges depend on the actual offset
-    difference (a copy in the middle can bridge two references a full line
-    apart), so edges are enumerated per offset pair via the relation
-    skeletons.
-    """
-    matrix = ugs.matrix
-    reduced = used_dims(matrix, dims, spatial=False)
-    if relations is None:
-        relations = spatial_relations(ugs, dims, localized)
-    sizes, strides, box_size = _box_geometry(u, reduced)
-    uf = UnionFind(ugs.size * box_size)
-    spans = [range(-u[d], u[d] + 1) for d in reduced]
-    diffs = list(product(*spans)) if reduced else [()]
-    for rel in relations:
-        for d in diffs:
-            if rel.i == rel.j and not any(d):
-                continue
-            if not rel.relates(d, line_size):
-                continue
-            indices = _clipped_indices(d, sizes)
-            if not indices:
-                continue
-            delta = sum(dt * st for dt, st in zip(d, strides))
-            base_i = rel.i * box_size + delta
-            base_j = rel.j * box_size
-            for idx in indices:
-                uf.union(base_i + idx, base_j + idx)
-    return uf.component_count()
 
 @dataclass(frozen=True)
 class Chain:
@@ -472,8 +302,8 @@ def _close_chain(nodes: list[tuple[int, tuple[int, ...]]],
 
 # -- keyed location classes ---------------------------------------------------
 #
-# On an SIV-separable set with an axis-spanned L the union-find relations
-# above are all "equal key" relations: every row of H either pins the copy
+# On an SIV-separable set with an axis-spanned L the union-find merge
+# relations are all "equal key" relations: every row of H either pins the copy
 # offset of one unrolled dim, or folds modulo the lattice of an axis of L,
 # or is fixed.  So each copy gets a class key row by row and the counts at
 # every point of the box come from one sweep over the copies, with no
@@ -503,14 +333,24 @@ def _chain_stats(stream: list[tuple], scale: int) -> tuple[int, int, int]:
     span = stream[-1][0] - stream[0][0]
     return lead, lead + (span - gaps) // scale, writes
 
+def _copies(u: UnrollVector, dims: tuple[int, ...]) -> int:
+    """Copies of one reference along ``dims`` at unroll u."""
+    copies = 1
+    for d in dims:
+        copies *= u[d] + 1
+    return copies
+
 def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
                  localized: VectorSpace, line_size: int | None,
-                 ) -> Callable[[UnrollVector], tuple[int, ...]] | None:
-    """``u -> (GTS, GSS, memory ops, registers)`` over the box of ``space``
-    from keyed location classes: the values of :func:`group_count`,
-    :func:`group_count_spatial` and :func:`stream_chains` (register L = the
-    innermost loop), or None when the closed form does not cover the set
-    (non-SIV H, L not spanned by axes).
+                 ) -> Callable[[UnrollVector], tuple[int, ...]]:
+    """``u -> (GTS, GSS, memory ops, registers)`` over the box of ``space``:
+    the union-find lattice counts (register L = the innermost loop) from
+    keyed location classes.  ``localized`` must be spanned by axes
+    (``ValueError`` otherwise).
+
+    Outside the SIV class (§3.5) no copies merge: every copy is its own
+    group over the dims H uses (its spatial H for GSS), and its own chain
+    and register over every unrolled dim.
 
     The box over the used dims is swept one slab at a time: for each point
     p of all but the last dim, a fresh state takes the copies with offset
@@ -518,10 +358,22 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
     totals are the counts at ``(p, step)``.
     """
     matrix = ugs.matrix
-    form = siv.closed_form(matrix, localized)
-    if form is None:
-        return None
-    rows, axes = form
+    axes = localized.axes()
+    if axes is None:
+        raise ValueError(f"localized space {localized} is not spanned by "
+                         "axes")
+    rows = matrix.siv_rows()
+    if rows is None:
+        size, dims = ugs.size, space.dims
+        temporal_dims = used_dims(matrix, dims)
+        spatial_dims = used_dims(matrix, dims, spatial=True)
+
+        def conservative(u: UnrollVector) -> tuple[int, ...]:
+            every = size * _copies(u, dims)
+            return (size * _copies(u, temporal_dims),
+                    size * _copies(u, spatial_dims), every, every)
+
+        return conservative
     reduced = used_dims(matrix, space.dims)
     unused = tuple(d for d in space.dims if d not in reduced)
     pos = {d: p for p, d in enumerate(reduced)}
@@ -610,27 +462,15 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
     def count(u: UnrollVector) -> tuple[int, ...]:
         g_t, g_s, mem, reg, wr = values[
             sum(u[d] * s for d, s in zip(reduced, strides))]
-        copies = 1
-        for d in unused:
-            copies *= u[d] + 1
+        copies = _copies(u, unused)
         return g_t, g_s, mem + copies * wr, reg + copies * wr
 
     return count
 
 def is_analyzable(ugs: UniformlyGeneratedSet) -> bool:
     """True when H has at most one non-zero per row and column (§3.5);
-    outside that class the counts fall back to no-merging conservatism."""
+    outside that class no copies merge (:func:`conservative_chains`)."""
     return ugs.matrix.siv_rows() is not None
-
-def conservative_group_count(ugs: UniformlyGeneratedSet, u: UnrollVector,
-                             dims: tuple[int, ...],
-                             spatial: bool = False) -> int:
-    """Fallback for non-SIV sets: every copy is its own group."""
-    reduced = used_dims(ugs.matrix, dims, spatial)
-    copies = 1
-    for d in reduced:
-        copies *= u[d] + 1
-    return ugs.size * copies
 
 def conservative_chains(ugs: UniformlyGeneratedSet, u: UnrollVector,
                         dims: tuple[int, ...]) -> StreamSummary:

@@ -3,9 +3,10 @@
 For every quantity the paper tabulates -- group-temporal sets, group-spatial
 sets, register-reuse sets and register pressure -- we store the exact count
 at every point of the unroll box, row-major, as plain ints.  The counts
-come from :mod:`repro.unroll.streams` (keyed location classes, or the
-union-find lattice counts) and are cross-checked against the brute-force
-baseline in the test suite.
+come from the keyed location classes of
+:func:`repro.unroll.streams.keyed_counts` and are cross-checked against
+the union-find lattice counts (``tests/reference.py``) and the
+brute-force baseline in the test suite.
 
 The paper stores per-offset increments T[u'] instead and answers with the
 box sum over ``u' <= u`` (its ``Sum`` function, Figure 2).  The dense
@@ -32,17 +33,7 @@ from repro.linalg.matrix import int_fraction
 from repro.reuse.locality import innermost_localized_space, self_reuse_base
 from repro.reuse.ugs import UniformlyGeneratedSet, partition_ugs
 from repro.unroll.space import UnrollSpace, UnrollVector, body_copies
-from repro.unroll.streams import (
-    conservative_chains,
-    conservative_group_count,
-    group_count,
-    group_count_spatial,
-    is_analyzable,
-    keyed_counts,
-    pairwise_merges,
-    spatial_relations,
-    stream_chains,
-)
+from repro.unroll.streams import keyed_counts
 
 def _row_major_strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
     strides = [1] * len(sizes)
@@ -215,51 +206,6 @@ class UnrollTables:
     def all_points(self) -> list[UnrollPoint]:
         return [self.point(u) for u in self.space]
 
-def counted_tables(group: UniformlyGeneratedSet, space: UnrollSpace,
-                   localized: VectorSpace, line_size: int) -> list[OffsetTable]:
-    """The GTS, GSS, RRS and register tables of one set from counts
-    evaluated at every box point: union-find lattice counts for an
-    SIV-separable set, one group per copy otherwise.
-
-    :func:`build_tables` takes this path for the sets the keyed classes of
-    :func:`repro.unroll.streams.keyed_counts` do not cover; the parity
-    checks use it as the oracle of the keyed path.
-    """
-    dims = space.dims
-    if is_analyzable(group):
-        inner = VectorSpace.spanned_by_axes([space.depth - 1], space.depth)
-        merges_t = pairwise_merges(group, dims, localized, spatial=False)
-        relations = spatial_relations(group, dims, localized)
-        # register analysis localizes to the innermost loop (section 4.3)
-        merges_r = pairwise_merges(group, dims, inner, spatial=False)
-
-        def count_gts(u):
-            return group_count(group, u, dims, localized, spatial=False,
-                               merges=merges_t)
-
-        def count_gss(u):
-            return group_count_spatial(group, u, dims, localized, line_size,
-                                       relations=relations)
-
-        def streams(u):
-            return stream_chains(group, u, dims, merges=merges_r)
-    else:
-        def count_gts(u):
-            return conservative_group_count(group, u, dims)
-
-        def count_gss(u):
-            return conservative_group_count(group, u, dims, spatial=True)
-
-        def streams(u):
-            return conservative_chains(group, u, dims)
-
-    def count(u):
-        summary = streams(u)
-        return (count_gts(u), count_gss(u), summary.memory_ops,
-                summary.registers)
-
-    return OffsetTable.from_counts_multi(space, count, 4)
-
 def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
                  trip: int = 100,
                  localized: VectorSpace | None = None,
@@ -270,10 +216,9 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
     ``localized`` is the cache-localized space (default: innermost loop).
     Register analysis always uses the innermost loop, per section 4.3.
     ``ugs`` optionally supplies the precomputed UGS partition (the engine
-    reuses the one from its analysis artifacts).  An SIV-separable set
-    under an axis-spanned ``localized`` is counted from keyed location
-    classes (:func:`repro.unroll.streams.keyed_counts`); every other set
-    goes through :func:`counted_tables`.
+    reuses the one from its analysis artifacts).  Every set is counted
+    by :func:`repro.unroll.streams.keyed_counts`, so ``localized`` must be
+    spanned by coordinate axes: any other space raises ``ValueError``.
 
     ``ugs_cache`` (a :class:`repro.engine.ugscache.UgsTableCache`, or any
     object with the same ``key_for``/``fetch``/``store`` surface)
@@ -281,6 +226,9 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
     in *any* previously built nest are served in O(1).
     """
     localized = localized if localized is not None else innermost_localized_space(nest)
+    if localized.axes() is None:
+        raise ValueError(f"localized space {localized} is not spanned by "
+                         "axes")
     sets = partition_ugs(nest) if ugs is None else ugs
     per_ugs: list[UgsTables] = []
     for group in sets:
@@ -293,12 +241,8 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
                 continue
         base, _, _ = self_reuse_base(group.matrix, localized, line_size,
                                      trip)
-        keyed = keyed_counts(group, space, localized, line_size)
-        if keyed is not None:
-            tables = OffsetTable.from_counts_multi(space, keyed, 4)
-        else:
-            tables = counted_tables(group, space, localized, line_size)
-        gts, gss, rrs, registers = tables
+        gts, gss, rrs, registers = OffsetTable.from_counts_multi(
+            space, keyed_counts(group, space, localized, line_size), 4)
         entry = UgsTables(ugs=group, base_cost=base, gts=gts, gss=gss,
                           rrs=rrs, registers=registers)
         if ugs_cache is not None:

@@ -3,29 +3,29 @@
 On an SIV-separable set under an axis-spanned localized space,
 :func:`repro.unroll.streams.keyed_counts` gives the GTS, GSS, RRS and
 register counts of every point of the unroll box from one sweep over
-class keys.  The union-find counters (:func:`group_count`,
-:func:`group_count_spatial`, :func:`stream_chains`) are its oracle: the
-two must agree at every box point, at bounds 4 and 8, on the shapes the
-keys could get wrong.
+class keys.  The union-find counters (``tests/reference.py``'s
+:func:`group_count` and :func:`group_count_spatial`, and
+:func:`stream_chains`) are its oracle: the two must agree at every box
+point, at bounds 4 and 8, on the shapes the keys could get wrong.
 """
 
 import pytest
 
 from repro.corpus import CorpusConfig, iter_corpus
 from repro.ir.builder import NestBuilder
+from repro.kernels import kernel_by_name
 from repro.linalg import VectorSpace
 from repro.reuse.locality import innermost_localized_space
 from repro.reuse.ugs import partition_ugs
 from repro.unroll.space import UnrollSpace
 from repro.unroll.streams import (
-    group_count,
-    group_count_spatial,
     is_analyzable,
     keyed_counts,
     pairwise_merges,
     stream_chains,
 )
-from repro.unroll.tables import build_tables, counted_tables
+from repro.unroll.tables import build_tables
+from tests.reference import counted_tables, group_count, group_count_spatial
 
 LINE_SIZES = (1, 2, 4, 8, 16)
 
@@ -181,3 +181,45 @@ def test_corpus_tables_match_union_find():
             got = [entry.gts, entry.gss, entry.rrs, entry.registers]
             assert _counts(got) == _counts(expected), nest.name
     assert keyed > 50
+
+def non_siv():
+    """Non-SIV reads and a non-SIV store: I+J shares a row, J+K (B's
+    contiguous row) leaves B's spatial H with I alone, and C(J+K) does not
+    use the unrolled I, so its copies along I are textually identical."""
+    b = NestBuilder("nonsiv")
+    I, J, K = b.loops(("I", 0, "N"), ("J", 0, "N"), ("K", 0, "N"))
+    b.assign(b.ref("A", I + J, K),
+             b.ref("A", I + J, K) + b.ref("A", I + J + 1, K - 1)
+             * b.ref("B", J + K, I) + b.ref("C", J + K))
+    return b.build()
+
+@pytest.mark.parametrize("bound", [4, 8])
+@pytest.mark.parametrize("nest, dims", [
+    (kernel_by_name("afold").nest, (0,)),
+    (non_siv(), (0, 1)),
+    (non_siv(), (1,)),
+], ids=["afold-I", "nonsiv-IJ", "nonsiv-J"])
+def test_non_siv_tables_match_union_find(nest, dims, bound):
+    """No copies of a non-SIV set merge: the closed form of keyed_counts
+    gives the reference tables at every box point."""
+    space = UnrollSpace.for_dims(nest.depth, dims, bound)
+    built = build_tables(nest, space, line_size=4)
+    localized = innermost_localized_space(nest)
+    assert any(not is_analyzable(entry.ugs) for entry in built.per_ugs)
+    for entry in built.per_ugs:
+        expected = counted_tables(entry.ugs, space, localized, 4)
+        got = [entry.gts, entry.gss, entry.rrs, entry.registers]
+        assert _counts(got) == _counts(expected), entry.ugs.pretty()
+
+def test_non_axis_localized_space_is_refused():
+    """The keyed classes need L spanned by axes; any other L is a typed
+    error, not a silent fallback."""
+    nest = non_siv()
+    space = UnrollSpace(3, (0, 1), (4, 4))
+    diagonal = VectorSpace([[1, 1, 1]], 3)
+    for sets in (None, []):
+        with pytest.raises(ValueError, match="not spanned by axes"):
+            build_tables(nest, space, localized=diagonal, ugs=sets)
+    for group in partition_ugs(nest):
+        with pytest.raises(ValueError, match="not spanned by axes"):
+            keyed_counts(group, space, diagonal, 4)

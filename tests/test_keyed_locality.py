@@ -36,8 +36,8 @@ from repro.unroll.tables import (
     UnrollPoint,
     UnrollTables,
     build_tables,
-    counted_tables,
 )
+from tests.reference import counted_tables
 
 LINES = (None, 1, 2, 4, 8, 16)
 TRIP = 100

@@ -9,7 +9,8 @@ from repro.reuse.locality import innermost_localized_space
 from repro.reuse.ugs import partition_ugs
 from repro.unroll.paper_tables import gss_table, gts_table, rrs_table
 from repro.unroll.space import UnrollSpace
-from repro.unroll.streams import group_count, stream_chains
+from repro.unroll.streams import stream_chains
+from tests.reference import group_count
 
 def figure1_nest():
     b = NestBuilder("fig1")
