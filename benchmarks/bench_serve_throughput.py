@@ -53,6 +53,12 @@ COMPUTE_RATIO_BAR = 0.60
 #: p50 at equal concurrency (the docs/WIRE.md claim).
 WIRE_P50_RATIO_BAR = 0.50
 
+#: Measured sweeps of the 19 kernels per transport in the wire phase, in
+#: every mode: at 2 sweeps (38 requests) the ratio of two sub-millisecond
+#: p50s read 0.29-0.54 across runs on a 2-core VM, so the verdict
+#: flipped; 8 sweeps (152 requests) settle it.
+WIRE_PASSES = 8
+
 def _wire_workload(passes: int) -> list:
     """Every Table 2 kernel as a *serialized* nest spec, ``passes`` times.
 
@@ -121,11 +127,12 @@ def run_serve_benchmark(concurrency: int = 8, passes: int = 5,
         run_load("127.0.0.1", handle.port, _wire_workload(1),
                  concurrency=wire_concurrency, bound=bound,
                  transport="binary")
-        wire_json = run_load("127.0.0.1", handle.port, _wire_workload(passes),
+        wire_json = run_load("127.0.0.1", handle.port,
+                             _wire_workload(WIRE_PASSES),
                              concurrency=wire_concurrency, bound=bound,
                              transport="json")
         wire_binary = run_load("127.0.0.1", handle.port,
-                               _wire_workload(passes),
+                               _wire_workload(WIRE_PASSES),
                                concurrency=wire_concurrency, bound=bound,
                                transport="binary")
         json_p50 = wire_json["latency_s"]["p50"]

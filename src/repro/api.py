@@ -59,6 +59,7 @@ __all__ = [
     "analyze",
     "coerce_machine",
     "coerce_nest",
+    "coerce_remote_nest",
     "default_engine",
     "optimize",
     "optimize_many",
@@ -134,9 +135,21 @@ def coerce_nest(spec: "LoopNest | str | os.PathLike",
     structural key is computed exactly once, which is what keeps the
     serving layer's per-request key derivation near-free.
     """
+    return _coerce(spec, name, paths=True)
+
+def coerce_remote_nest(spec: "LoopNest | str | Mapping",
+                       name: str | None = None) -> LoopNest:
+    """:func:`coerce_nest` without the file system, for a spec a client
+    sent: a string resolves only as DO-loop source or a kernel name, so
+    a served request can neither read a server-side file nor learn
+    whether one exists (anything else is an ``"unknown"`` error, 404
+    ``unknown_kernel`` on the wire)."""
+    return _coerce(spec, name, paths=False)
+
+def _coerce(spec, name: str | None, paths: bool) -> LoopNest:
     if isinstance(spec, LoopNest):
         return intern_nest(spec)
-    if isinstance(spec, os.PathLike):
+    if paths and isinstance(spec, os.PathLike):
         return intern_nest(_nest_from_path(pathlib.Path(spec), name))
     if isinstance(spec, Mapping):
         source = spec.get("source")
@@ -166,15 +179,15 @@ def coerce_nest(spec: "LoopNest | str | os.PathLike",
         return intern_nest(kernel_by_name(spec).nest)
     except KeyError:
         pass
-    path = pathlib.Path(spec)
-    if path.exists():
-        return intern_nest(_nest_from_path(path, name))
+    if paths and pathlib.Path(spec).exists():
+        return intern_nest(_nest_from_path(pathlib.Path(spec), name))
     names = [kernel.name for kernel in all_kernels()]
     close = difflib.get_close_matches(spec, names, n=3, cutoff=0.5)
     hint = f"; did you mean {', '.join(close)}?" if close else \
         "; try 'python -m repro kernels' for the list"
-    raise NestResolutionError(
-        f"unknown kernel {spec!r} (and no such file){hint}", kind="unknown")
+    where = " (and no such file)" if paths else ""
+    raise NestResolutionError(f"unknown kernel {spec!r}{where}{hint}",
+                              kind="unknown")
 
 def serialize_nest(nest: LoopNest) -> dict:
     """The JSON-ready wire form of a nest: ``{"name", "source"}``.

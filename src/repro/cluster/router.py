@@ -4,8 +4,10 @@
 ``POST /v1/*`` request to one of the supervisor's worker processes:
 
 * **sticky routing** -- the request body's nest spec is coerced to its
-  :meth:`~repro.ir.nodes.LoopNest.structural_key` (memoized in a small
-  LRU so repeated bodies never re-parse on the router loop) and looked
+  :meth:`~repro.ir.nodes.LoopNest.structural_key` by
+  :func:`repro.api.coerce_remote_nest`, which never touches the file
+  system (memoized in a small :class:`~repro.engine.memo.Memo` so
+  repeated bodies never re-parse on the router loop) and looked
   up on the consistent-hash ring.  Identical nests therefore always hit
   the worker whose memo tables and disk-cache namespace are already
   warm for them -- the cluster-level analogue of the engine's own
@@ -55,6 +57,7 @@ import time
 from repro import api, obs
 from repro.cluster.membership import Membership, WorkerInfo
 from repro.cluster.supervisor import ClusterConfig, Supervisor
+from repro.engine.memo import Memo
 from repro.engine.metrics import Metrics
 from repro.serve import protocol
 from repro.serve.http import (
@@ -79,6 +82,9 @@ _POOL_SIZE = 8
 #: Bound on header lines when reading a worker's response.
 _MAX_RESPONSE_HEADERS = 64
 
+#: The key memo's miss marker (``None`` is a remembered "no key").
+_UNSEEN = object()
+
 class _WorkerError(Exception):
     """The worker could not produce a response (connect/read failure)."""
 
@@ -97,18 +103,16 @@ class ClusterRouter:
         self._connections: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._started_at = time.monotonic()
-        # structural-key LRU: normalized nest spec -> ring key (or None
+        # structural-key memo: normalized nest spec -> ring key (or None
         # when the spec cannot be coerced).
-        self._keys: collections.OrderedDict[str, str | None] = \
-            collections.OrderedDict()
+        self._keys = Memo("route_key", self.config.key_cache)
         # per-slot idle connection pools, invalidated by port change
         self._pools: dict[tuple[int, int], list] = {}
         # L2 result cache: digest of (path, raw body) -> the worker's
         # 200 response (status, content-type, body, shard).  Sound
         # because the API verbs are pure functions of the request.
-        self._l2: collections.OrderedDict[bytes,
-                                          tuple[int, str, bytes, str]] = \
-            collections.OrderedDict()
+        self._l2 = (Memo("l2", self.config.l2_cache)
+                    if self.config.l2_cache > 0 else None)
         # hot-key tracker + a replayable sample request per key, feeding
         # the post-scale/reload speculative pre-warm.
         self._hot: collections.Counter = collections.Counter()
@@ -375,17 +379,14 @@ class ClusterRouter:
                 return None
         else:
             return None
-        cached = self._keys.get(normalized)
-        if normalized in self._keys:
-            self._keys.move_to_end(normalized)
+        cached = self._keys.get(normalized, _UNSEEN)
+        if cached is not _UNSEEN:
             return cached
         try:
-            key = api.coerce_nest(spec).structural_key()
+            key = api.coerce_remote_nest(spec).structural_key()
         except Exception:
             key = None
-        self._keys[normalized] = key
-        if len(self._keys) > self.config.key_cache:
-            self._keys.popitem(last=False)
+        self._keys.put(normalized, key)
         return key
 
     def _note_hot(self, key: str | None, path: str, content_type: str,
@@ -406,12 +407,11 @@ class ClusterRouter:
                            else "cluster.routed_fallback")
         self._note_hot(key, path, content_type, request.body)
         l2_key = None
-        if self.config.l2_cache > 0:
+        if self._l2 is not None:
             l2_key = hashlib.sha256(path.encode("utf-8") + b"\x00"
                                     + request.body).digest()
             cached = self._l2.get(l2_key)
             if cached is not None:
-                self._l2.move_to_end(l2_key)
                 self.metrics.count("cluster.l2_hits")
                 status, cached_type, body, shard = cached
                 return raw_response(status, body, cached_type, close=close,
@@ -447,10 +447,8 @@ class ClusterRouter:
                 response_type = headers.get("content-type",
                                             "application/json")
                 if status == 200 and l2_key is not None:
-                    while len(self._l2) >= self.config.l2_cache:
-                        self._l2.popitem(last=False)
-                    self._l2[l2_key] = (status, response_type, body,
-                                        str(info.slot))
+                    self._l2.put(l2_key, (status, response_type, body,
+                                          str(info.slot)))
                 return raw_response(status, body, response_type,
                                     close=close, headers=extra)
         self.metrics.count("cluster.unrouted")
@@ -574,7 +572,7 @@ class ClusterRouter:
             "states": self.membership.states(),
             "pending": sum(info.pending
                            for info in self.membership.workers.values()),
-            "l2_cache": {"entries": len(self._l2),
+            "l2_cache": {"entries": len(self._l2 or ()),
                          "capacity": self.config.l2_cache},
             "hot_keys": len(self._hot),
         }

@@ -9,10 +9,11 @@ nests and across runs:
   safety bounds, :class:`~repro.unroll.tables.UnrollTables`) is memoized
   behind :meth:`repro.ir.nodes.LoopNest.structural_key` -- structurally
   identical nests (including loop-variable renamings) share one analysis;
-* the in-process memo is a bounded LRU; whole-nest and per-UGS tables can
-  additionally persist to the on-disk JSON tier of :mod:`repro.engine.disk`
-  (default ``~/.cache/repro/``, override with the ``REPRO_CACHE_DIR``
-  environment variable) reusing :mod:`repro.unroll.serialize`;
+* every memo is a bounded :class:`~repro.engine.memo.Memo` counting
+  ``cache.<family>.*``; whole-nest and per-UGS tables can additionally
+  persist to the on-disk JSON tier of :mod:`repro.engine.disk` (default
+  ``~/.cache/repro/``, override with the ``REPRO_CACHE_DIR`` environment
+  variable) reusing :mod:`repro.unroll.serialize`;
 * :meth:`AnalysisEngine.optimize_stream` fans a corpus out over a
   process pool in picklable chunks with per-nest error capture, so one
   malformed nest degrades to a reported failure instead of killing the
@@ -30,9 +31,7 @@ import hashlib
 import math
 import os
 import pathlib
-import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -48,9 +47,10 @@ from repro.engine.disk import (
     default_cache_dir,
     disk_cache_stats,
 )
+from repro.engine.memo import DiskBacking, Memo
 from repro.engine.metrics import Metrics
 from repro.engine.ugscache import UgsTableCache
-from repro.ir.nodes import LoopNest
+from repro.ir.nodes import LoopNest, nest_identity
 from repro.obs import profile as _obs_profile
 from repro.obs import trace as _obs_trace
 from repro.obs.trace import span as _span
@@ -76,49 +76,6 @@ __all__ = [
 
 #: Bump when the on-disk key derivation or payload layout changes.
 DISK_FORMAT_VERSION = 3
-
-class _LRU:
-    """A bounded mapping with least-recently-used eviction.
-
-    Thread-safe: the serving layer calls into one engine from a pool of
-    worker threads, so every access (including the recency bump inside
-    :meth:`get`) happens under a per-instance lock.  Concurrent misses on
-    the same key may both compute and :meth:`put`; the artifacts an engine
-    caches are deterministic per key, so the duplicate work is benign.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("LRU capacity must be positive")
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            if key not in self._data:
-                return None
-            self._data.move_to_end(key)
-            return self._data[key]
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._data
 
 @dataclass(frozen=True)
 class NestArtifacts:
@@ -210,7 +167,7 @@ class AnalysisEngine:
     Parameters
     ----------
     capacity:
-        Bound of each in-process LRU (graphs, artifacts, tables).
+        Bound of each memo (graphs, artifacts, tables, profiles, SIMD).
     metrics:
         An existing :class:`Metrics` to record into (default: fresh).
     disk_cache:
@@ -237,11 +194,16 @@ class AnalysisEngine:
                           else default_cache_dir())
         #: The cross-process tier (``None`` without ``disk_cache``).
         self.disk = DiskTier(self.cache_dir) if disk_cache else None
-        self._graphs = _LRU(capacity)
-        self._artifacts = _LRU(capacity)
-        self._tables = _LRU(capacity)
-        self._profiles = _LRU(capacity)
-        self._simd = _LRU(capacity)
+        tables_disk = None
+        if self.disk is not None:
+            tables_disk = DiskBacking(
+                self.disk, _tables_file, tables_to_json,
+                lambda text, nest: tables_from_json(text))
+        self._graphs = Memo("graph", capacity, self.metrics)
+        self._artifacts = Memo("artifacts", capacity, self.metrics)
+        self._tables = Memo("tables", capacity, self.metrics, tables_disk)
+        self._profiles = Memo("profile", capacity, self.metrics)
+        self._simd = Memo("simd", capacity, self.metrics)
         #: Sub-structural cache: distinct UGS signatures are far more
         #: numerous than distinct nests in the LRU, so it gets more slots.
         self.ugs_cache: UgsTableCache | None = None
@@ -255,17 +217,14 @@ class AnalysisEngine:
     def dependence_graph(self, nest: LoopNest,
                          include_input: bool = False) -> DependenceGraph:
         """The nest's dependence graph, memoized by structural key."""
-        key = (nest.structural_key(), include_input)
-        cached = self._graphs.get(key)
-        if cached is not None:
-            self.metrics.count("cache.graph.hit")
-            return cached
-        self.metrics.count("cache.graph.miss")
-        with self.metrics.timer("stage.dependence_graph"), \
-                _span("engine.dependence_graph", nest=nest.name):
-            graph = build_dependence_graph(nest, include_input=include_input)
-        self._graphs.put(key, graph)
-        return graph
+        def build() -> DependenceGraph:
+            with self.metrics.timer("stage.dependence_graph"), \
+                    _span("engine.dependence_graph", nest=nest.name):
+                return build_dependence_graph(nest,
+                                              include_input=include_input)
+
+        return self._graphs.get_or_build(
+            (nest.structural_key(), include_input), build)
 
     def analyze(self, nest: LoopNest,
                 machine: MachineModel | None = None,
@@ -274,29 +233,27 @@ class AnalysisEngine:
         partition for one nest, memoized by structural key."""
         if line_size is None:
             line_size = machine.cache_line_words if machine is not None else 4
-        key = (nest.structural_key(), line_size)
-        cached = self._artifacts.get(key)
-        if cached is not None:
-            self.metrics.count("cache.artifacts.hit")
-            return cached
-        self.metrics.count("cache.artifacts.miss")
-        with _span("engine.analyze", nest=nest.name), \
-                self.profiler.profile("stage.analyze"):
-            graph = self.dependence_graph(nest, include_input=False)
-            with self.metrics.timer("stage.safety"), _span("engine.safety"):
-                safety = safe_unroll_bounds(nest, graph)
-            with self.metrics.timer("stage.ugs_partition"), \
-                    _span("ugs.partition"):
-                ugs = tuple(partition_ugs(nest))
-            with self.metrics.timer("stage.locality"), \
-                    _span("engine.locality"):
-                locality = tuple(loop_locality_scores(
-                    nest, line_size=line_size, ugs=list(ugs)))
-        artifacts = NestArtifacts(key=key[0], graph=graph, safety=safety,
-                                  locality=locality, ugs=ugs,
-                                  line_size=line_size)
-        self._artifacts.put(key, artifacts)
-        return artifacts
+        key = nest.structural_key()
+
+        def build() -> NestArtifacts:
+            with _span("engine.analyze", nest=nest.name), \
+                    self.profiler.profile("stage.analyze"):
+                graph = self.dependence_graph(nest, include_input=False)
+                with self.metrics.timer("stage.safety"), \
+                        _span("engine.safety"):
+                    safety = safe_unroll_bounds(nest, graph)
+                with self.metrics.timer("stage.ugs_partition"), \
+                        _span("ugs.partition"):
+                    ugs = tuple(partition_ugs(nest))
+                with self.metrics.timer("stage.locality"), \
+                        _span("engine.locality"):
+                    locality = tuple(loop_locality_scores(
+                        nest, line_size=line_size, ugs=list(ugs)))
+            return NestArtifacts(key=key, graph=graph, safety=safety,
+                                 locality=locality, ugs=ugs,
+                                 line_size=line_size)
+
+        return self._artifacts.get_or_build((key, line_size), build)
 
     def reuse_profile(self, nest: LoopNest,
                       machine: MachineModel | None = None,
@@ -308,19 +265,16 @@ class AnalysisEngine:
 
         if line_size is None:
             line_size = machine.cache_line_words if machine is not None else 4
-        key = (nest.structural_key(), line_size, trip)
-        cached = self._profiles.get(key)
-        if cached is not None:
-            self.metrics.count("cache.profile.hit")
-            return cached
-        self.metrics.count("cache.profile.miss")
-        artifacts = self.analyze(nest, line_size=line_size)
-        with self.metrics.timer("stage.reuse_profile"), \
-                _span("engine.reuse_profile", nest=nest.name):
-            profile = build_profile(nest, line_size=line_size, trip=trip,
-                                    ugs=artifacts.ugs)
-        self._profiles.put(key, profile)
-        return profile
+
+        def build() -> "NestReuseProfile":
+            artifacts = self.analyze(nest, line_size=line_size)
+            with self.metrics.timer("stage.reuse_profile"), \
+                    _span("engine.reuse_profile", nest=nest.name):
+                return build_profile(nest, line_size=line_size, trip=trip,
+                                     ugs=artifacts.ugs)
+
+        return self._profiles.get_or_build(
+            (nest.structural_key(), line_size, trip), build)
 
     def tables(self, nest: LoopNest, space: UnrollSpace, line_size: int,
                trip: int = 100,
@@ -330,29 +284,18 @@ class AnalysisEngine:
         on disk.  ``ugs`` optionally reuses a precomputed partition (the
         partition is a pure function of the nest, so the memo key is
         unaffected)."""
+        def build() -> UnrollTables:
+            with self.metrics.timer("stage.build_tables"), \
+                    _span("tables.build", nest=nest.name), \
+                    self.profiler.profile("stage.build_tables"):
+                return build_tables(
+                    nest, space, line_size=line_size, trip=trip,
+                    ugs=list(ugs) if ugs is not None else None,
+                    ugs_cache=self.ugs_cache)
+
         key = (nest.structural_key(), space.dims, space.bounds, line_size,
                trip)
-        cached = self._tables.get(key)
-        if cached is not None:
-            self.metrics.count("cache.tables.hit")
-            self.metrics.count("cache.memory.hit")
-            return _rebind_tables(cached, nest)
-        self.metrics.count("cache.memory.miss")
-        loaded = self._load_disk_tables(key, nest)
-        if loaded is not None:
-            self.metrics.count("cache.tables.hit")
-            self._tables.put(key, loaded)
-            return loaded
-        self.metrics.count("cache.tables.miss")
-        with self.metrics.timer("stage.build_tables"), \
-                _span("tables.build", nest=nest.name), \
-                self.profiler.profile("stage.build_tables"):
-            tables = build_tables(nest, space, line_size=line_size, trip=trip,
-                                  ugs=list(ugs) if ugs is not None else None,
-                                  ugs_cache=self.ugs_cache)
-        self._tables.put(key, tables)
-        self._store_disk_tables(key, tables)
-        return tables
+        return _rebind_tables(self._tables.get_or_build(key, build), nest)
 
     # -- the end-to-end decision --------------------------------------------
 
@@ -423,19 +366,15 @@ class AnalysisEngine:
         on ``machine`` (docs/VECTORIZE.md)."""
         from repro.simd import vectorize_nest
 
-        # The report embeds the nest's display name, so the key must too
-        # (structural keys are deliberately name-blind).
-        key = (nest.structural_key(), nest.name, machine.name, tuple(unroll))
-        cached = self._simd.get(key)
-        if cached is not None:
-            self.metrics.count("cache.simd.hits")
-            return cached
-        self.metrics.count("cache.simd.misses")
-        with self.metrics.timer("stage.simd"), \
-                _span("engine.simd", nest=nest.name, machine=machine.name):
-            report = vectorize_nest(nest, tuple(unroll), machine)
-        self._simd.put(key, report)
-        return report
+        def build():
+            with self.metrics.timer("stage.simd"), \
+                    _span("engine.simd", nest=nest.name, machine=machine.name):
+                return vectorize_nest(nest, tuple(unroll), machine)
+
+        # The report embeds the nest's name and loop variables, so the key
+        # is the nest's identity (structural keys ignore both).
+        return self._simd.get_or_build(
+            (nest_identity(nest), machine.name, tuple(unroll)), build)
 
     # -- corpus fan-out ------------------------------------------------------
 
@@ -530,34 +469,35 @@ class AnalysisEngine:
         params = dict(bound=bound, max_loops=max_loops,
                       include_cache=include_cache, trip=trip)
         self.metrics.count("stream.runs")
+        entries = enumerate(nests)
+        recent = Memo("dedup", window)
         if workers is not None and workers > 1:
-            yield from self._stream_parallel(nests, machine, workers,
-                                             params, chunk_size, window)
+            yield from self._stream_parallel(entries, machine, workers,
+                                             params, chunk_size, recent)
         else:
-            yield from self._stream_serial(nests, machine, params, window)
+            yield from self._stream_serial(entries, machine, params, recent)
 
-    def _stream_serial(self, nests: Iterable[object], machine: MachineModel,
-                       params: dict, window: int) -> Iterator[BatchItem]:
-        recent = _LRU(window)
-        for index, nest in enumerate(nests):
+    def _stream_serial(self, entries: Iterator[tuple[int, object]],
+                       machine: MachineModel, params: dict,
+                       recent: Memo) -> Iterator[BatchItem]:
+        for index, nest in entries:
             key = (nest.structural_key()
                    if isinstance(nest, LoopNest) else None)
-            if key is not None:
-                rep = recent.get(key)
-                if rep is not None:
-                    self.metrics.count("engine.dedup.hits")
-                    yield _fan_item(rep, index, nest)
-                    continue
+            rep = recent.get(key) if key is not None else None
+            if rep is not None:
+                self.metrics.count("engine.dedup.hits")
+                yield _fan_item(rep, index, nest)
+                continue
             item = self._run_one(index, nest, machine, params)
             self.metrics.count("stream.items")
             if key is not None:
                 recent.put(key, item)
             yield item
 
-    def _stream_parallel(self, nests: Iterable[object],
+    def _stream_parallel(self, entries: Iterator[tuple[int, object]],
                          machine: MachineModel, workers: int, params: dict,
                          chunk_size: int,
-                         window: int) -> Iterator[BatchItem]:
+                         recent: Memo) -> Iterator[BatchItem]:
         from concurrent import futures
 
         trace_ctx = (_obs_trace.current_context()
@@ -568,39 +508,33 @@ class AnalysisEngine:
                 initargs=(self.disk is not None, str(self.cache_dir)))
         except (OSError, PermissionError, NotImplementedError):
             self.metrics.count("batch.pool_fallback")
-            yield from self._stream_serial(nests, machine, params, window)
+            yield from self._stream_serial(entries, machine, params, recent)
             return
 
-        recent = _LRU(window)
         #: key -> duplicates waiting on an in-flight representative.
         waiting: dict[object, list[tuple[int, LoopNest]]] = {}
         chunk: list[tuple[int, LoopNest, object]] = []
         pending: dict = {}  # future -> its chunk's (index, nest, key) list
         max_pending = 2 * workers
-        source = iter(enumerate(nests))
         exhausted = False
 
         def submit() -> None:
             nonlocal chunk
             if not chunk:
                 return
-            entries = chunk
-            chunk = []
-            task = _Chunk(entries=tuple((i, nest) for i, nest, _ in entries),
+            task = _Chunk(entries=tuple((i, nest) for i, nest, _ in chunk),
                           machine=machine, params=params, trace=trace_ctx)
             try:
                 future = pool.submit(_optimize_chunk, task)
             except futures.BrokenExecutor as err:  # a worker died earlier
                 future = futures.Future()
                 future.set_exception(err)
-            pending[future] = entries
+            pending[future] = chunk
+            chunk = []
             self.metrics.count("stream.chunks")
 
-        def resolve_local(index: int, nest: LoopNest,
-                          key: object) -> Iterator[BatchItem]:
-            """In-process completion of one entry plus its waiters (the
-            no-process-pool degradation path)."""
-            item = self._run_one(index, nest, machine, params)
+        def settle(key: object, item: BatchItem) -> Iterator[BatchItem]:
+            """Yield one completed entry, then its waiting twins."""
             self.metrics.count("stream.items")
             recent.put(key, item)
             yield item
@@ -611,7 +545,7 @@ class AnalysisEngine:
                 yield _fan_item(item, dup_index, dup_nest)
 
         def drain(future) -> Iterator[BatchItem]:
-            entries = pending.pop(future)
+            done_entries = pending.pop(future)
             try:
                 out = future.result()
             except Exception as err:  # broken pool / unpicklable
@@ -619,32 +553,25 @@ class AnalysisEngine:
                     BatchItem(index=i, name=nest.name, ok=False,
                               error=f"worker failed: "
                                     f"{type(err).__name__}: {err}")
-                    for i, nest, _ in entries])
+                    for i, nest, _ in done_entries])
             if out.metrics is not None:
                 self.metrics.merge(out.metrics)
             if out.spans is not None:
                 _obs_trace.get_tracer().ingest(out.spans)
             by_index = {item.index: item for item in out.items}
-            for index, nest, key in entries:
+            for index, nest, key in done_entries:
                 item = by_index.get(index)
                 if item is None:  # defensive: worker dropped an entry
                     item = BatchItem(index=index, name=nest.name, ok=False,
                                      error="worker returned no result")
-                self.metrics.count("stream.items")
-                recent.put(key, item)
-                yield item
-                dups = waiting.pop(key, ())
-                if dups:
-                    self.metrics.count("engine.dedup.hits", len(dups))
-                for dup_index, dup_nest in dups:
-                    yield _fan_item(item, dup_index, dup_nest)
+                yield from settle(key, item)
 
         try:
             while True:
                 # Fill the pipeline up to the in-flight bound.
                 while not exhausted and len(pending) < max_pending:
                     try:
-                        index, nest = next(source)
+                        index, nest = next(entries)
                     except StopIteration:
                         exhausted = True
                         break
@@ -676,27 +603,15 @@ class AnalysisEngine:
             # No working process pool here (sandbox, no fork): degrade to
             # in-process for everything not yet completed.
             self.metrics.count("batch.pool_fallback")
-            leftovers = [entry for entries in pending.values()
-                         for entry in entries]
+            leftovers = [entry for group in pending.values()
+                         for entry in group] + chunk
             for future in pending:
                 future.cancel()
             pending.clear()
-            leftovers.extend(chunk)
-            chunk = []
             for index, nest, key in leftovers:
-                yield from resolve_local(index, nest, key)
-            if not exhausted:
-                for index, nest in source:
-                    if not isinstance(nest, LoopNest):
-                        yield self._run_one(index, nest, machine, params)
-                        continue
-                    key = nest.structural_key()
-                    rep = recent.get(key)
-                    if rep is not None:
-                        self.metrics.count("engine.dedup.hits")
-                        yield _fan_item(rep, index, nest)
-                        continue
-                    yield from resolve_local(index, nest, key)
+                yield from settle(key, self._run_one(index, nest, machine,
+                                                     params))
+            yield from self._stream_serial(entries, machine, params, recent)
         finally:
             for future in pending:
                 future.cancel()
@@ -721,14 +636,12 @@ class AnalysisEngine:
                 name: value for name, value in
                 sorted(self.metrics.counters.items())
                 if name.startswith("cache.")},
-            # Per-tier ratios: "tables" is the any-tier aggregate;
-            # memory/disk are the lookup tiers in probe order, and
-            # "ugs" is the sub-structural per-set cache.  All flow into
-            # the Prometheus exposition as repro_cache_hit_rate_<family>.
+            # One any-tier ratio per memo family; all flow into the
+            # Prometheus exposition as repro_cache_hit_rate_<family>.
             "hit_rates": {
                 family: self.metrics.hit_rate(f"cache.{family}")
-                for family in ("graph", "artifacts", "tables", "memory",
-                               "disk", "ugs")},
+                for family in ("graph", "artifacts", "tables", "profile",
+                               "simd", "ugs")},
             "disk_enabled": self.disk is not None,
         }
         if self.disk is not None:
@@ -737,58 +650,17 @@ class AnalysisEngine:
 
     def clear(self) -> None:
         """Drop every in-memory memo (the disk cache is left alone)."""
-        self._graphs.clear()
-        self._artifacts.clear()
-        self._tables.clear()
-        self._profiles.clear()
-        self._simd.clear()
-        if self.ugs_cache is not None:
-            self.ugs_cache.clear()
+        for memo in (self._graphs, self._artifacts, self._tables,
+                     self._profiles, self._simd, self.ugs_cache):
+            if memo is not None:
+                memo.clear()
 
-    # -- disk layer ----------------------------------------------------------
-
-    @staticmethod
-    def _disk_name(key: tuple) -> str:
-        """The stable file name of a whole-nest entry (the key derivation
-        is versioned by :data:`DISK_FORMAT_VERSION`)."""
-        digest = hashlib.sha256(
-            f"v{DISK_FORMAT_VERSION}:{key!r}".encode("utf-8")).hexdigest()
-        return f"tables-{digest[:32]}.json"
-
-    def _load_disk_tables(self, key: tuple,
-                          nest: LoopNest) -> UnrollTables | None:
-        if self.disk is None:
-            return None
-        text = self.disk.read(self._disk_name(key))
-        if text is None:
-            self.metrics.count("cache.disk.miss")
-            return None
-        try:
-            with self.metrics.timer("stage.disk_load"):
-                tables = tables_from_json(text)
-        except Exception:
-            # Corrupt or truncated entry: treat it as evicted and
-            # recompute rather than fail the request.  The slot is NOT
-            # unlinked here -- under concurrent multi-process use another
-            # engine may have just atomically replaced it with a fresh
-            # valid entry, and unlinking would delete that good work.
-            # The recompute path's atomic publish overwrites the corrupt
-            # bytes instead, which is safe to race: last writer wins
-            # with a complete entry either way.
-            self.metrics.count("cache.disk.error")
-            self.metrics.count("cache.disk.evict")
-            return None
-        self.metrics.count("cache.disk.hit")
-        return _rebind_tables(tables, nest)
-
-    def _store_disk_tables(self, key: tuple, tables: UnrollTables) -> None:
-        if self.disk is None:
-            return
-        with self.metrics.timer("stage.disk_store"):
-            stored = self.disk.write(self._disk_name(key),
-                                     tables_to_json(tables))
-        self.metrics.count("cache.disk.store" if stored
-                           else "cache.disk.error")
+def _tables_file(key: tuple) -> str:
+    """The stable file name of a whole-nest entry (the key derivation is
+    versioned by :data:`DISK_FORMAT_VERSION`)."""
+    digest = hashlib.sha256(
+        f"v{DISK_FORMAT_VERSION}:{key!r}".encode("utf-8")).hexdigest()
+    return f"tables-{digest[:32]}.json"
 
 def _fan_item(rep: BatchItem, index: int, nest: LoopNest) -> BatchItem:
     """A duplicate index's item, cloned from its structural twin's.
@@ -852,9 +724,7 @@ def _optimize_chunk(chunk: _Chunk) -> _ChunkResult:
     items, exactly as in :meth:`AnalysisEngine._run_one`.  The metrics
     snapshot shipped back covers exactly this chunk's work."""
     engine = _WORKER_ENGINE
-    engine.metrics = Metrics()
-    if engine.ugs_cache is not None:
-        engine.ugs_cache.metrics = engine.metrics
+    engine.metrics.reset()
     # Trace propagation: when the parent traced the run, record this
     # chunk's spans into a fresh worker tracer rooted at the parent's
     # context and ship them back serialized.

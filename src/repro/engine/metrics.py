@@ -145,6 +145,12 @@ class Metrics:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + n
 
+    def reset(self) -> None:
+        """Forget everything recorded so far."""
+        with self._lock:
+            self.counters.clear()
+            self.stages.clear()
+
     def observe(self, stage: str, seconds: float) -> None:
         with self._lock:
             stats = self.stages.get(stage)

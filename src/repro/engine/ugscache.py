@@ -22,9 +22,10 @@ subtracting the first member's constant vector from every member, so
 ``A(I,J)+A(I-1,J)`` and ``A(I+4,J)+A(I+3,J)`` (and the same pattern on a
 differently named array) share one entry.  :class:`UgsTableCache` then
 memoizes :class:`~repro.unroll.tables.UgsTables` under that signature in
-a process-local LRU, optionally backed by the engine's cross-process
-:class:`~repro.engine.disk.DiskTier` (entries persist as
-``ugs-<digest>.json`` next to the whole-nest ``tables-<digest>.json``).
+a process-local :class:`~repro.engine.memo.Memo`, optionally backed by
+the engine's cross-process :class:`~repro.engine.disk.DiskTier` (entries
+persist as ``ugs-<digest>.json`` next to the whole-nest
+``tables-<digest>.json``).
 
 Hits rebind only the ``ugs`` field of the cached entry; every numeric
 table is shared, so a cold nest whose sets were seen in *any* prior nest
@@ -36,11 +37,10 @@ served tables are bit-identical to a fresh build.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
+from repro.engine.memo import DiskBacking, Memo
 from repro.linalg import VectorSpace
 from repro.reuse.ugs import UniformlyGeneratedSet
 from repro.unroll.serialize import ugs_tables_from_json, ugs_tables_to_json
@@ -69,13 +69,18 @@ def ugs_signature(group: UniformlyGeneratedSet, space: UnrollSpace,
     table value.  Member positions enter only as their rank order (the
     touch-time tie-break compares positions, never their values).
 
-    H enters as its int rows and an axis-spanned ``localized`` as its
-    axes: both are canonical (a Fraction row equals and hashes like its
-    int row; an axis space's basis is the unit vectors of its axes), so
-    equal sets keep equal keys without hashing Fractions per probe.
+    H enters as its int rows and ``localized`` as its axes: both are
+    canonical (a Fraction row equals and hashes like its int row; an axis
+    space's basis is the unit vectors of its axes), so equal sets keep
+    equal keys without hashing Fractions per probe.  A ``localized`` not
+    spanned by axes raises ``ValueError``, as in
+    :func:`~repro.unroll.tables.build_tables`, which counts only those.
     """
     rows = group.matrix.integer_rows()
     axes = localized.axes()
+    if axes is None:
+        raise ValueError(f"localized space {localized} is not spanned by "
+                         "axes")
     members = group.members
     consts = group.constants()
     base = consts[0]
@@ -94,7 +99,7 @@ def ugs_signature(group: UniformlyGeneratedSet, space: UnrollSpace,
         tuple(ranks),
         space.depth, space.dims, space.bounds,
         localized.dimension_ambient,
-        axes if axes is not None else localized.basis,
+        axes,
         line_size, trip,
     )
 
@@ -105,91 +110,38 @@ def ugs_digest(signature: tuple) -> str:
     digest = hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()
     return f"ugs-{digest[:32]}"
 
-class UgsTableCache:
-    """Process-local LRU of per-UGS tables, optionally persisted to disk.
+class UgsTableCache(Memo):
+    """The ``ugs`` memo family: per-UGS tables under their signature,
+    optionally backed by a :class:`~repro.engine.disk.DiskTier`.
 
-    Thread-safe (one lock around the recency-ordered map); the entries are
-    frozen dataclasses over immutable tables, so sharing them between
-    threads -- and across every nest the engine ever sees -- is safe.
-
-    ``metrics`` is read through the attribute on every probe, so an engine
-    that swaps its :class:`Metrics` (the pool workers do, per task) only
-    has to re-point ``cache.metrics``.
+    The entries are frozen dataclasses over immutable tables, so sharing
+    them between threads -- and across every nest the engine ever sees --
+    is safe.  :meth:`key_for`, :meth:`fetch` and :meth:`store` are the
+    surface :func:`repro.unroll.tables.build_tables` drives.
     """
 
     def __init__(self, capacity: int = 4096,
                  metrics: "Metrics | None" = None,
                  disk: "DiskTier | None" = None):
-        if capacity <= 0:
-            raise ValueError("UGS cache capacity must be positive")
-        self.capacity = capacity
-        self.metrics = metrics
-        self.disk = disk
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
+        backing = None
+        if disk is not None:
+            backing = DiskBacking(disk, _ugs_file, ugs_tables_to_json,
+                                  ugs_tables_from_json)
+        super().__init__("ugs", capacity, metrics, backing)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def _count(self, name: str, n: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.count(name, n)
-
-    def key_for(self, group: UniformlyGeneratedSet, space: UnrollSpace,
-                localized: VectorSpace, line_size: int, trip: int) -> tuple:
-        return ugs_signature(group, space, localized, line_size, trip)
+    key_for = staticmethod(ugs_signature)
 
     def fetch(self, key: tuple,
               group: UniformlyGeneratedSet) -> UgsTables | None:
         """The cached tables under ``key`` rebound to ``group``, or
-        ``None`` on a full miss.  Probes the in-process LRU first, then
-        the disk tier (promoting disk hits into the LRU)."""
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is not None:
-                self._data.move_to_end(key)
-        if entry is not None:
-            self._count("cache.ugs.hit")
-            return replace(entry, ugs=group)
-        entry = self._fetch_disk(key, group)
-        if entry is not None:
-            self._count("cache.ugs.hit")
-            self._count("cache.ugs.disk_hit")
-            self._put(key, entry)
+        ``None`` on a miss in every tier."""
+        entry = self.get(key, context=group)
+        if entry is None or entry.ugs is group:
             return entry
-        self._count("cache.ugs.miss")
-        return None
+        return replace(entry, ugs=group)
 
-    def store(self, key: tuple, entry: UgsTables) -> None:
-        """Publish freshly built tables under ``key`` (LRU + disk)."""
-        self._put(key, entry)
-        self._count("cache.ugs.store")
-        if self.disk is not None and self.disk.write(
-                f"{ugs_digest(key)}.json", ugs_tables_to_json(entry)):
-            self._count("cache.ugs.disk_store")
+    #: Publish freshly built tables under a key (memory + disk).
+    store = Memo.put
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    # -- internals -----------------------------------------------------------
-
-    def _put(self, key: tuple, entry: UgsTables) -> None:
-        with self._lock:
-            self._data[key] = entry
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def _fetch_disk(self, key: tuple,
-                    group: UniformlyGeneratedSet) -> UgsTables | None:
-        if self.disk is None:
-            return None
-        text = self.disk.read(f"{ugs_digest(key)}.json")
-        if text is None:
-            return None
-        try:
-            return ugs_tables_from_json(text, group)
-        except Exception:
-            return None  # corrupt entry: a miss, overwritten on store
+def _ugs_file(key: tuple) -> str:
+    return f"{ugs_digest(key)}.json"

@@ -363,26 +363,33 @@ class LoopNest:
 
 # -- hash-consing ------------------------------------------------------------
 
-#: Canonical instance per (structural key, name): the first nest seen for a
-#: structure wins and every later structurally identical nest resolves to
-#: it, so its cached key, dependence graph, and tables are shared for free.
-#: Keyed by name too because callers observe ``nest.name`` in responses.
-_INTERNED: dict[tuple[str, str], "LoopNest"] = {}
+def nest_identity(nest: "LoopNest") -> tuple:
+    """The structural key plus what it ignores but a printed nest shows:
+    the name, the loop-variable spelling and the description.  Caches
+    whose values echo the nest key on this, so a renamed twin gets its
+    own answer while the analyses beneath stay shared."""
+    return (nest.structural_key(), nest.name, nest.index_names,
+            nest.description)
+
+#: Canonical instance per :func:`nest_identity`: the first nest seen wins
+#: and every later identical nest resolves to it, so its cached key,
+#: dependence graph, and tables are shared for free.
+_INTERNED: dict[tuple, "LoopNest"] = {}
 _INTERN_LOCK = threading.Lock()
 _INTERN_CAPACITY = 4096
 
 def intern_nest(nest: "LoopNest") -> "LoopNest":
-    """The canonical instance of ``nest``'s structural equivalence class.
+    """The canonical instance of ``nest``'s :func:`nest_identity`.
 
-    Returns an already-interned twin (same structural key *and* name) when
-    one exists, else registers ``nest`` as the canonical instance.  The twin
-    carries a pre-computed structural key, so consumers downstream of
+    Returns an already-interned identical nest when one exists, else
+    registers ``nest`` as the canonical instance.  The twin carries a
+    pre-computed structural key, so consumers downstream of
     :func:`repro.api.coerce_nest` never re-hash a known structure.  The
     table is bounded; when full it is reset rather than LRU-tracked (the
     working set of distinct structures in one process is tiny next to the
     bound, and a reset only costs re-hashing each structure once).
     """
-    key = (nest.structural_key(), nest.name)
+    key = nest_identity(nest)
     with _INTERN_LOCK:
         canonical = _INTERNED.get(key)
         if canonical is not None:

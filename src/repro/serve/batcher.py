@@ -7,12 +7,15 @@ The serving pipeline between the HTTP layer and the
   *distinct* coalescing key; when ``queue_limit`` jobs are already
   pending it raises :class:`Overloaded` and the server answers 429 with
   a ``Retry-After`` estimate instead of building an unbounded backlog;
-* **coalescing** -- a request whose ``(kind, structural_key, machine,
-  params)`` key matches a pending job just attaches another future to
-  that job, so N identical concurrent requests cost one engine
+* **coalescing** -- a request whose ``(kind, nest_identity, machine,
+  params, unroll)`` key matches a pending job just attaches another
+  future to that job, so N identical concurrent requests cost one engine
   computation; completed payloads additionally land in a bounded result
-  LRU, so an identical request that arrives *after* its twin finished is
-  answered without touching the engine at all;
+  :class:`~repro.engine.memo.Memo`, so an identical request that arrives
+  *after* its twin finished is answered without touching the engine at
+  all.  :func:`~repro.ir.nodes.nest_identity` adds the nest's name, loop
+  variables and description to its structural key, because the payload
+  echoes them: a renamed twin reaches the engine, whose memos answer it;
 * **dispatch on admission** -- an admitted job goes straight to the
   thread pool.  There is no batch window: every job runs separately on
   the executor anyway, and the served caller (a compiler asking for one
@@ -37,7 +40,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.engine import AnalysisEngine, _LRU
+from repro.engine import AnalysisEngine
+from repro.engine.memo import Memo
 from repro.ir.nodes import LoopNest
 from repro.machine.model import MachineModel
 from repro.serve import protocol
@@ -95,7 +99,7 @@ class MicroBatcher:
         self.metrics = engine.metrics
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pending: dict[tuple, _Job] = {}
-        self._cache = _LRU(self.config.result_cache)
+        self._cache = Memo("serve_result", self.config.result_cache)
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, self.config.threads),
             thread_name_prefix="repro-serve")

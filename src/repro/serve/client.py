@@ -39,6 +39,8 @@ import sys
 import threading
 import time
 
+from repro.engine.memo import Memo
+
 __all__ = ["Client", "build_workload", "run_load", "wait_for_server",
            "main"]
 
@@ -167,7 +169,7 @@ class Client:
         self._conn: http.client.HTTPConnection | None = None
         self._raw: _RawConnection | None = None
         self._use_frames: bool | None = None  # resolved on first verb
-        self._encoded: dict[tuple, bytes] = {}
+        self._encoded = Memo("client_frame", 4096)
         #: Response headers of the last exchange (lower-cased names) --
         #: where ``Retry-After`` and ``x-repro-shard`` are found.
         self.last_headers: dict[str, str] = {}
@@ -286,9 +288,7 @@ class Client:
         encoded = protocol.encode_request_frame(
             kind, doc, key=resolved.structural_key(), machine=machine)
         if cache_key is not None:
-            if len(self._encoded) >= 4096:
-                self._encoded.clear()
-            self._encoded[cache_key] = encoded
+            self._encoded.put(cache_key, encoded)
         return encoded
 
     # -- the verbs -----------------------------------------------------------

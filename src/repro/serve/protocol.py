@@ -136,7 +136,7 @@ class RequestSpec:
     """A validated API request, ready for coercion and dispatch."""
 
     kind: str
-    nest: object  # any coerce_nest shape: name, source, or serialized dict
+    nest: object  # a coerce_remote_nest shape: name, source, or dict
     machine: str
     params: dict = field(default_factory=dict)
     unroll: tuple[int, ...] | None = None  # transform only

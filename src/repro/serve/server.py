@@ -4,9 +4,9 @@
 :class:`AnalysisServer` and blocks until SIGTERM/SIGINT.  Routes:
 
 * ``POST /v1/analyze`` / ``/v1/optimize`` / ``/v1/transform`` -- JSON
-  bodies in any :func:`repro.api.coerce_nest` shape (kernel name, DO-loop
-  source, serialized nest), dispatched through the
-  :class:`~repro.serve.batcher.MicroBatcher`;
+  bodies in any :func:`repro.api.coerce_remote_nest` shape (kernel name,
+  DO-loop source, serialized nest; never a server-side path), dispatched
+  through the :class:`~repro.serve.batcher.MicroBatcher`;
 * ``POST /v2/frame`` -- the same three verbs in the binary frame
   encoding (``application/x-repro-frame``, see docs/WIRE.md).  Warm
   repeats are answered from an encoded-response cache keyed on the raw
@@ -46,6 +46,8 @@ import time
 
 from repro import api, obs
 from repro.engine import AnalysisEngine
+from repro.engine.memo import Memo
+from repro.ir.nodes import nest_identity
 from repro.predict.model import load_default_model, load_model
 from repro.serve import protocol
 from repro.serve.batcher import BatchConfig, MicroBatcher, Overloaded
@@ -135,12 +137,13 @@ class AnalysisServer:
         self._connections: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._started_at = time.monotonic()
-        #: Encoded 200-response frames by payload digest (loop-confined,
-        #: insertion-ordered; oldest evicted).  Keyed by
+        #: Encoded 200-response frames by payload digest (``None`` when
+        #: ``frame_cache`` is 0).  Keyed by
         #: :func:`protocol.request_cache_key`, which is derived from the
         #: payload bytes server-side -- a client lying in its key header
         #: cannot plant an entry any other request would hit.
-        self._frame_cache: dict[tuple, bytes] = {}
+        self._frame_cache = (Memo("frame", self.config.frame_cache)
+                             if self.config.frame_cache > 0 else None)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -335,7 +338,8 @@ class AnalysisServer:
         try:
             frame = protocol.peek_frame(request.body)
             cache_key = protocol.request_cache_key(frame)
-            cached = self._frame_cache.get(cache_key)
+            cached = (self._frame_cache.get(cache_key)
+                      if self._frame_cache is not None else None)
             if cached is not None:
                 self.engine.metrics.count("serve.frame_fast_hits")
                 return 200, cached, {}
@@ -348,10 +352,8 @@ class AnalysisServer:
         encoded = protocol.encode_response_frame(
             payload, error=status != 200, kind=spec.kind,
             key=payload.get("structural_key") if status == 200 else None)
-        if status == 200 and self.config.frame_cache > 0:
-            while len(self._frame_cache) >= self.config.frame_cache:
-                self._frame_cache.pop(next(iter(self._frame_cache)))
-            self._frame_cache[cache_key] = encoded
+        if status == 200 and self._frame_cache is not None:
+            self._frame_cache.put(cache_key, encoded)
         self.engine.metrics.count("serve.frame_fast_misses")
         return status, encoded, extra
 
@@ -360,7 +362,7 @@ class AnalysisServer:
         """Coerce, dispatch through the batcher, await: the shared core
         of both wire encodings."""
         try:
-            nest = api.coerce_nest(spec.nest)
+            nest = api.coerce_remote_nest(spec.nest)
         except api.NestResolutionError as err:
             status, error_type = protocol.status_for_resolution(err)
             return status, protocol.error_payload(error_type, str(err)), {}
@@ -373,7 +375,7 @@ class AnalysisServer:
             response = self._try_fast(spec, nest, machine)
             if response is not None:
                 return response
-        key = (spec.kind, nest.structural_key(), machine.name,
+        key = (spec.kind, nest_identity(nest), machine.name,
                spec.params_key(), spec.unroll)
         try:
             future = self.batcher.submit(spec.kind, key, nest, machine,
@@ -463,7 +465,7 @@ class AnalysisServer:
         (and counted) rather than queued when admission is full -- the
         fast answer was already sent, so validation must never create
         backpressure of its own."""
-        key = ("optimize", nest.structural_key(), machine.name,
+        key = ("optimize", nest_identity(nest), machine.name,
                spec.params_key(), None)
         try:
             future = self.batcher.submit("optimize", key, nest, machine,
@@ -526,7 +528,7 @@ class AnalysisServer:
             "in_flight": self.batcher.in_flight,
             "metrics": self.engine.metrics.snapshot(),
             "cache": self.engine.cache_stats(),
-            "frame_cache": {"entries": len(self._frame_cache),
+            "frame_cache": {"entries": len(self._frame_cache or ()),
                             "capacity": self.config.frame_cache},
             "batch_config": {
                 "queue_limit": self.config.batch.queue_limit,

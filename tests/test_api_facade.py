@@ -60,6 +60,34 @@ class TestCoerceNest:
         with pytest.raises(api.NestResolutionError):
             api.coerce_nest(42)
 
+    def test_interning_keeps_each_loop_variable_spelling(self):
+        """A same-named structural twin spelled with other loop
+        variables is its own nest, so ``transform`` prints its own."""
+        def spec(outer, inner):
+            return {"name": "twin-spelling",
+                    "source": f"DO {outer} = 1, N\n  DO {inner} = 1, N\n"
+                              f"    A({outer}, {inner}) = B({inner})\n"
+                              f"  ENDDO\nENDDO"}
+
+        first = api.coerce_nest(spec("I", "J"))
+        second = api.coerce_nest(spec("II", "JJ"))
+        assert first.structural_key() == second.structural_key()
+        assert first.index_names == ("I", "J")
+        assert second.index_names == ("II", "JJ")
+        assert api.coerce_nest(spec("II", "JJ")) is second
+        assert "DO II = " in format_nest(
+            api.transform(spec("II", "JJ"), unroll=(1, 0)).main)
+
+    def test_remote_coercion_never_reads_a_path(self, tmp_path):
+        path = tmp_path / "jacobi.f"
+        path.write_text(format_nest(JACOBI))
+        assert api.coerce_nest(str(path)).structural_key() == \
+            JACOBI.structural_key()
+        with pytest.raises(api.NestResolutionError) as err:
+            api.coerce_remote_nest(str(path))
+        assert err.value.kind == "unknown"
+        assert "no such file" not in str(err.value)
+
 class TestCoerceMachine:
     def test_model_passthrough(self):
         machine = dec_alpha()

@@ -55,7 +55,7 @@ while time.monotonic() < deadline:
     if tuple(result.unroll) != expected:
         print(f"{role}: wrong answer {result.unroll}", file=sys.stderr)
         sys.exit(1)
-    errors += engine.metrics.counter("cache.disk.error")
+    errors += engine.metrics.counter("cache.tables.disk_error")
     iterations += 1
 print(json.dumps({"role": role, "iterations": iterations,
                   "disk_errors": errors}))

@@ -18,6 +18,8 @@ import tempfile
 from repro.cluster.membership import DRAINING, READY
 from repro.cluster.router import ClusterRouter, SHARD_HEADER
 from repro.cluster.supervisor import ClusterConfig
+from repro.ir.printer import format_nest
+from repro.kernels import kernel_by_name
 from repro.serve.http import Request
 
 class FakeWorker:
@@ -148,6 +150,18 @@ class TestRouting:
                 router.structural_key(
                     json.dumps({"nest": f"nope-{index}"}).encode())
             assert len(router._keys) <= 4
+
+        asyncio.run(scenario())
+
+    def test_structural_key_never_reads_a_path(self, tmp_path):
+        """A nest file on the router's host is not a nest spec: the body
+        gets no key and falls back to a worker, which answers 404."""
+        path = tmp_path / "jacobi.f"
+        path.write_text(format_nest(kernel_by_name("jacobi").nest))
+        async def scenario():
+            router = make_router()
+            assert router.structural_key(
+                json.dumps({"nest": str(path)}).encode()) is None
 
         asyncio.run(scenario())
 

@@ -166,9 +166,9 @@ class TestStaleDiskEntries:
 
         engine = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         result = engine.optimize(nest, machine, bound=3)
-        assert engine.metrics.counter("cache.disk.miss") == 1
-        assert engine.metrics.counter("cache.disk.error") == 0
-        assert engine.metrics.counter("cache.disk.hit") == 0
+        assert engine.metrics.counter("cache.tables.miss") == 1
+        assert engine.metrics.counter("cache.tables.disk_error") == 0
+        assert engine.metrics.counter("cache.tables.disk_hit") == 0
         assert engine.metrics.counter("cache.ugs.disk_hit") == 0
         assert engine.metrics.counter("cache.ugs.miss") > 0
         assert result.unroll == choose_unroll(nest, machine, bound=3).unroll

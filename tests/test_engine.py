@@ -113,7 +113,7 @@ class TestMemoization:
         engine.simd_report(_intro_nest(), machine, (1, 0))
         assert engine.metrics.counter("cache.tables.miss") == 2
         assert engine.metrics.counter("cache.profile.miss") == 2
-        assert engine.metrics.counter("cache.simd.misses") == 2
+        assert engine.metrics.counter("cache.simd.miss") == 2
 
 class TestBatch:
     @pytest.fixture(scope="class")
@@ -169,13 +169,13 @@ class TestDiskCache:
         nest = _intro_nest()
         first = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         cold = first.optimize(nest, machine, bound=3)
-        assert first.metrics.counter("cache.disk.store") == 1
+        assert first.metrics.counter("cache.tables.disk_store") == 1
         stats = disk_cache_stats(tmp_path)
         assert stats["entries"] == 1 and stats["bytes"] > 0
 
         second = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         warm = second.optimize(nest, machine, bound=3)
-        assert second.metrics.counter("cache.disk.hit") == 1
+        assert second.metrics.counter("cache.tables.disk_hit") == 1
         assert second.metrics.counter("cache.tables.hit") == 1
         assert warm.unroll == cold.unroll
         assert warm.breakdown == cold.breakdown
@@ -189,7 +189,7 @@ class TestDiskCache:
             path.write_text("{not json")
         second = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         result = second.optimize(nest, machine, bound=3)
-        assert second.metrics.counter("cache.disk.error") == 1
+        assert second.metrics.counter("cache.tables.disk_error") == 1
         assert result.unroll == choose_unroll(nest, machine, bound=3).unroll
 
     def test_clear_disk_cache(self, tmp_path):
@@ -223,7 +223,7 @@ class TestDiskCache:
         second = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         second.optimize(_intro_nest(), machine, bound=3)
         assert second.metrics.counter("cache.tables.miss") == 0
-        assert second.metrics.counter("cache.disk.store") == 0
+        assert second.metrics.counter("cache.tables.disk_store") == 0
         assert second.metrics.counter("cache.ugs.disk_store") == 0
 
     def test_disk_stats_in_cache_stats(self, tmp_path):
@@ -233,5 +233,5 @@ class TestDiskCache:
         assert set(stats["disk"]) == {"dir", "entries", "ugs_entries",
                                       "bytes"}
         assert set(stats["hit_rates"]) == {"graph", "artifacts", "tables",
-                                           "memory", "disk", "ugs"}
+                                           "profile", "simd", "ugs"}
         assert "disk" not in AnalysisEngine().cache_stats()

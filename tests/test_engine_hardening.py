@@ -82,7 +82,7 @@ class TestConcurrentEngine:
         for entry in entries:
             json.loads(entry.read_text())  # every entry is complete JSON
         assert not list(tmp_path.glob("*.tmp*"))  # no leftover temp files
-        assert engine.metrics.counter("cache.disk.error") == 0
+        assert engine.metrics.counter("cache.tables.disk_error") == 0
 
 class TestCorruptDiskCache:
     @pytest.mark.parametrize("mangle", [
@@ -103,23 +103,22 @@ class TestCorruptDiskCache:
         reader = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         result = reader.optimize(nest, machine, bound=3)  # must not raise
         assert result.unroll == expected
-        assert reader.metrics.counter("cache.disk.error") >= 1
-        assert reader.metrics.counter("cache.disk.evict") >= 1
+        assert reader.metrics.counter("cache.tables.disk_error") >= 1
         # The corrupt entry was replaced by a freshly computed valid one.
         for entry in tmp_path.glob("tables-*.json"):
             json.loads(entry.read_text())
         # A third engine now loads it cleanly from disk.
         third = AnalysisEngine(disk_cache=True, cache_dir=tmp_path)
         assert third.optimize(nest, machine, bound=3).unroll == expected
-        assert third.metrics.counter("cache.disk.hit") >= 1
-        assert third.metrics.counter("cache.disk.error") == 0
+        assert third.metrics.counter("cache.tables.disk_hit") >= 1
+        assert third.metrics.counter("cache.tables.disk_error") == 0
 
     def test_unreadable_entry_is_a_miss(self, tmp_path):
         engine = AnalysisEngine(disk_cache=True, cache_dir=tmp_path / "sub")
         machine = dec_alpha()
         nest = all_kernels()[0].nest
         engine.optimize(nest, machine, bound=3)  # cache dir auto-created
-        assert engine.metrics.counter("cache.disk.store") >= 1
+        assert engine.metrics.counter("cache.tables.disk_store") >= 1
 
 class TestPercentiles:
     def test_empty_and_single_observation(self):

@@ -27,6 +27,7 @@ import pytest
 
 from repro import api, obs
 from repro.engine import AnalysisEngine
+from repro.ir.printer import format_nest
 from repro.kernels import kernel_by_name
 from repro.serve import protocol
 from repro.serve.batcher import BatchConfig, MicroBatcher, Overloaded
@@ -119,6 +120,33 @@ class TestEndToEnd:
         assert by_dict[1]["structural_key"] == by_name[1]["structural_key"]
         assert by_dict[1]["unroll"] == by_name[1]["unroll"]
 
+    def test_renamed_twins_get_their_own_answers(self):
+        """Structural twins that differ in name and loop variables share
+        the engine's memos, but every reply echoes its own request."""
+        def spec(name, outer, inner):
+            return {"name": name,
+                    "source": f"DO {outer} = 1, N\n  DO {inner} = 1, N\n"
+                              f"    A({outer}, {inner}) = "
+                              f"A({outer}, {inner}) + B({inner})\n"
+                              f"  ENDDO\nENDDO"}
+
+        twins = [spec("first", "I", "J"), spec("second", "II", "JJ")]
+        with _server() as handle:
+            for transport in ("json", "binary"):
+                client = Client(port=handle.port, transport=transport,
+                                max_retries=0)
+                for twin in twins:
+                    status, doc = client.optimize(twin, bound=3)
+                    assert status == 200, doc
+                    assert doc["nest"] == twin["name"], (transport, doc)
+                    status, doc = client.transform(twin, bound=3)
+                    assert status == 200, doc
+                    assert doc["nest"] == twin["name"], (transport, doc)
+                    outer = twin["source"].split()[1]
+                    assert f"DO {outer} = " in doc["source"], \
+                        (transport, doc["source"])
+                client.close()
+
     def test_analyze_and_transform_verbs(self):
         with _server() as handle:
             client = JsonClient(port=handle.port)
@@ -153,6 +181,19 @@ class TestErrors:
         with _server() as handle:
             client = JsonClient(port=handle.port)
             status, doc = client.optimize("definitely-not-a-kernel")
+            client.close()
+        assert status == 404
+        assert doc["error"]["type"] == "unknown_kernel"
+
+    def test_server_side_path_is_404(self, tmp_path):
+        """A string that is neither source nor a kernel name is never
+        read as a server-side path, even when the file exists and holds
+        a valid nest."""
+        path = tmp_path / "jacobi.f"
+        path.write_text(format_nest(kernel_by_name("jacobi").nest))
+        with _server() as handle:
+            client = JsonClient(port=handle.port)
+            status, doc = client.analyze(str(path))
             client.close()
         assert status == 404
         assert doc["error"]["type"] == "unknown_kernel"

@@ -452,8 +452,8 @@ class TestEngineAndApi:
         a = engine.simd_report(nest, future_wide(), (3, 0))
         b = engine.simd_report(nest, future_wide(), (3, 0))
         assert a is b
-        assert engine.metrics.counter("cache.simd.hits") == 1
-        assert engine.metrics.counter("cache.simd.misses") == 1
+        assert engine.metrics.counter("cache.simd.hit") == 1
+        assert engine.metrics.counter("cache.simd.miss") == 1
 
     def test_api_vectorize_returns_result_and_report(self):
         import repro

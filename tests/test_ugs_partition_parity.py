@@ -10,6 +10,8 @@ when their Fraction-row signatures are equal, so UGS-cache hits and
 misses cannot change.
 """
 
+import pytest
+
 from repro.corpus import CorpusConfig, iter_corpus
 from repro.engine.ugscache import UGS_FORMAT_VERSION, ugs_signature
 from repro.ir.matrixform import (
@@ -69,22 +71,29 @@ def test_partition_matches_fraction_matrix_grouping():
     assert nests == 319
 
 def _localized_spaces(depth):
-    """Axis-spanned spaces (innermost, everything, none) and one that is
-    not spanned by axes."""
+    """Axis-spanned spaces: innermost, everything, none."""
     yield VectorSpace.spanned_by_axes([depth - 1], depth)
     yield VectorSpace.spanned_by_axes(list(range(depth)), depth)
     yield VectorSpace.spanned_by_axes([], depth)
-    yield VectorSpace([[1] * depth], depth)
 
 def test_signatures_equal_exactly_when_fraction_signatures_are():
     # Each Fraction-row signature must map to one integer signature and
     # back: the same sets share a cache entry either way.
     forward, backward = {}, {}
-    probes = 0
+    probes = refused = 0
     for nest in _nests():
         dims = tuple(range(nest.depth - 1))[-2:]
         for bound in (2, 4):
             space = UnrollSpace.for_dims(nest.depth, dims, bound)
+            # A space not spanned by axes has no signature, as
+            # build_tables refuses it too.
+            if nest.depth > 1:
+                diagonal = VectorSpace([[1] * nest.depth], nest.depth)
+                for group in partition_ugs(nest):
+                    with pytest.raises(ValueError,
+                                       match="not spanned by axes"):
+                        ugs_signature(group, space, diagonal, 4, 100)
+                    refused += 1
             for localized in _localized_spaces(nest.depth):
                 for group in partition_ugs(nest):
                     new = ugs_signature(group, space, localized, 4, 100)
@@ -96,3 +105,4 @@ def test_signatures_equal_exactly_when_fraction_signatures_are():
     # Many sets share a signature, or the bijection says nothing about
     # cache hits.
     assert probes > 2 * len(forward) > 0
+    assert refused > 0
