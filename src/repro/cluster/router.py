@@ -104,8 +104,9 @@ class ClusterRouter:
         self._writers: set[asyncio.StreamWriter] = set()
         self._started_at = time.monotonic()
         # structural-key memo: normalized nest spec -> ring key (or None
-        # when the spec cannot be coerced).
-        self._keys = Memo("route_key", self.config.key_cache)
+        # when the spec cannot be coerced); key_cache 0 disables it.
+        self._keys = (Memo("route_key", self.config.key_cache)
+                      if self.config.key_cache > 0 else None)
         # per-slot idle connection pools, invalidated by port change
         self._pools: dict[tuple[int, int], list] = {}
         # L2 result cache: digest of (path, raw body) -> the worker's
@@ -379,14 +380,16 @@ class ClusterRouter:
                 return None
         else:
             return None
-        cached = self._keys.get(normalized, _UNSEEN)
-        if cached is not _UNSEEN:
-            return cached
+        if self._keys is not None:
+            cached = self._keys.get(normalized, _UNSEEN)
+            if cached is not _UNSEEN:
+                return cached
         try:
             key = api.coerce_remote_nest(spec).structural_key()
         except Exception:
             key = None
-        self._keys.put(normalized, key)
+        if self._keys is not None:
+            self._keys.put(normalized, key)
         return key
 
     def _note_hot(self, key: str | None, path: str, content_type: str,

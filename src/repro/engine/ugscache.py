@@ -116,7 +116,7 @@ class UgsTableCache(Memo):
 
     The entries are frozen dataclasses over immutable tables, so sharing
     them between threads -- and across every nest the engine ever sees --
-    is safe.  :meth:`key_for`, :meth:`fetch` and :meth:`store` are the
+    is safe.  :meth:`key_for`, :meth:`fetch` and :meth:`put` are the
     surface :func:`repro.unroll.tables.build_tables` drives.
     """
 
@@ -139,9 +139,6 @@ class UgsTableCache(Memo):
         if entry is None or entry.ugs is group:
             return entry
         return replace(entry, ugs=group)
-
-    #: Publish freshly built tables under a key (memory + disk).
-    store = Memo.put
 
 def _ugs_file(key: tuple) -> str:
     return f"{ugs_digest(key)}.json"

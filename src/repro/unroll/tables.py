@@ -221,7 +221,7 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
     spanned by coordinate axes: any other space raises ``ValueError``.
 
     ``ugs_cache`` (a :class:`repro.engine.ugscache.UgsTableCache`, or any
-    object with the same ``key_for``/``fetch``/``store`` surface)
+    object with the same ``key_for``/``fetch``/``put`` surface)
     memoizes per-set tables under their canonical signature, so sets seen
     in *any* previously built nest are served in O(1).
     """
@@ -246,6 +246,6 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
         entry = UgsTables(ugs=group, base_cost=base, gts=gts, gss=gss,
                           rrs=rrs, registers=registers)
         if ugs_cache is not None:
-            ugs_cache.store(cache_key, entry)
+            ugs_cache.put(cache_key, entry)
         per_ugs.append(entry)
     return UnrollTables(nest, space, line_size, trip, per_ugs)

@@ -153,6 +153,16 @@ class TestRouting:
 
         asyncio.run(scenario())
 
+    def test_key_cache_zero_disables_the_key_memo(self):
+        async def scenario():
+            router = make_router(key_cache=0)
+            assert router._keys is None
+            body = json.dumps({"nest": "mmjik"}).encode()
+            assert router.structural_key(body) == router.structural_key(body)
+            assert router.structural_key(body) is not None
+
+        asyncio.run(scenario())
+
     def test_structural_key_never_reads_a_path(self, tmp_path):
         """A nest file on the router's host is not a nest spec: the body
         gets no key and falls back to a worker, which answers 404."""
