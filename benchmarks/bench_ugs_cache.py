@@ -4,8 +4,9 @@ Three claims from the sub-structural cache (docs/PERFORMANCE.md):
 
 * **cold speedup** -- a cold ``optimize_many`` over a seeded corpus with
   the UGS table cache runs >= 1.5x the fast path without it
-  (``AnalysisEngine(ugs_cache=False)``), because distinct nests share
-  uniformly generated sets up to translation and renaming;
+  (``AnalysisEngine(ugs_cache=False)``; process CPU time, median of
+  interleaved pairs), because distinct nests share uniformly generated
+  sets up to translation and renaming;
 * **parity** -- decisions are identical with and without the cache, and
   cache-served tables serialize bit-identically to fresh builds;
 * **flat streaming memory** -- ``optimize_stream`` over a 10x larger
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 import tracemalloc
@@ -46,6 +48,10 @@ SPEEDUP_FLOOR = 1.5
 PEAK_RATIO_CEILING = 1.25
 SEED = 2026
 BOUND = 4
+#: Interleaved A/B pairs behind the cold speedup.  On a 2-core VM the
+#: median of 11 spread 0.03 over three runs; the ratio of per-side best
+#: wall times over 2 pairs spread 0.3.
+REPEATS = 11
 
 def _corpus(count: int):
     return iter_corpus(CorpusConfig(seed=SEED), count=count)
@@ -53,8 +59,9 @@ def _corpus(count: int):
 def _cold_run(nests, machine, ugs_cache: bool) -> tuple[list, dict]:
     """One cold ``optimize_many`` on a fresh engine."""
     engine = AnalysisEngine(ugs_cache=ugs_cache)
-    t0 = time.monotonic()
+    t0, cpu0 = time.monotonic(), time.process_time()
     report = engine.optimize_many(nests, machine, bound=BOUND)
+    cpu = time.process_time() - cpu0
     wall = time.monotonic() - t0
     counters = engine.metrics.snapshot()["counters"]
     hits = counters.get("cache.ugs.hit", 0)
@@ -63,22 +70,28 @@ def _cold_run(nests, machine, ugs_cache: bool) -> tuple[list, dict]:
                  for item in report.items]
     return decisions, {
         "wall_time_s": wall,
+        "cpu_s": cpu,
         "nests_per_sec": len(nests) / wall if wall else 0.0,
         "failures": sum(1 for item in report.items if not item.ok),
         "ugs_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
     }
 
-def _timed_cold_pair(count: int, machine,
-                     repeats: int = 3) -> tuple[int, dict, dict]:
-    """Interleaved best-of-N cold A/B: without vs with the UGS cache.
+def _timed_cold_pair(count: int, machine, repeats: int = REPEATS
+                     ) -> tuple[int, dict, dict, float]:
+    """Interleaved cold A/B, without vs with the UGS cache: decision
+    mismatches, each side's fastest run, and the speedup.
 
-    Interleaving plus per-side best-of keeps an asymmetric load spike
-    (CI neighbours, GC) from landing entirely on one side of the ratio;
-    decision parity is checked on every repeat.
+    The speedup is the median over ``repeats`` back-to-back pairs of the
+    ratio of process CPU times.  Both runs are single-threaded and
+    in-process, so CPU time is the work done: time spent descheduled on
+    a busy host lands on neither side, and the median drops a pair that
+    a neighbour or a GC pause skewed.  Decision parity is checked on
+    every pair.
     """
     nests = list(_corpus(count))
     mismatches = 0
     base = cached = None
+    ratios = []
     for _ in range(repeats):
         base_decisions, base_stats = _cold_run(nests, machine,
                                                ugs_cache=False)
@@ -86,13 +99,13 @@ def _timed_cold_pair(count: int, machine,
                                                    ugs_cache=True)
         mismatches += sum(1 for a, b in zip(base_decisions,
                                             cached_decisions) if a != b)
-        if base is None or base_stats["wall_time_s"] < \
-                base["wall_time_s"]:
+        ratios.append(base_stats["cpu_s"] / cached_stats["cpu_s"]
+                      if cached_stats["cpu_s"] else float("inf"))
+        if base is None or base_stats["cpu_s"] < base["cpu_s"]:
             base = base_stats
-        if cached is None or cached_stats["wall_time_s"] < \
-                cached["wall_time_s"]:
+        if cached is None or cached_stats["cpu_s"] < cached["cpu_s"]:
             cached = cached_stats
-    return mismatches, base, cached
+    return mismatches, base, cached, statistics.median(ratios)
 
 def _table_parity(count: int) -> dict:
     """Cache-served tables vs fresh builds, compared by serialization."""
@@ -151,10 +164,8 @@ def run_bench(quick: bool = False) -> dict:
     # ratio measures per-nest accumulation, not cache fill.
     stream_small, stream_large = (400, 1600) if quick else (1000, 10000)
 
-    decision_mismatches, base, cached = _timed_cold_pair(
-        corpus_size, machine, repeats=2 if quick else 3)
-    speedup = (base["wall_time_s"] / cached["wall_time_s"]
-               if cached["wall_time_s"] else float("inf"))
+    decision_mismatches, base, cached, speedup = _timed_cold_pair(
+        corpus_size, machine)
 
     parity = _table_parity(parity_sample)
     parity["decision_mismatches"] = decision_mismatches
@@ -171,6 +182,7 @@ def run_bench(quick: bool = False) -> dict:
         "baseline": base,
         "cached": cached,
         "speedup": speedup,
+        "repeats": REPEATS,
         "parity": parity,
         "stream": {"small": small, "large": large, "peak_ratio": ratio},
         "gates": {
@@ -205,15 +217,17 @@ def format_bench(payload: dict) -> str:
     lines = [
         f"UGS table cache over a {payload['corpus']}-nest seeded corpus "
         f"(bound {payload['bound']})",
-        f"{'configuration':<26s} {'wall':>8s} {'nests/s':>8s} "
+        f"{'configuration':<26s} {'wall':>8s} {'cpu':>8s} {'nests/s':>8s} "
         f"{'ugs hit rate':>13s}",
         f"{'fast path, no ugs cache':<26s} {base['wall_time_s']:>7.3f}s "
-        f"{base['nests_per_sec']:>8.1f} {'-':>12s}",
+        f"{base['cpu_s']:>7.3f}s {base['nests_per_sec']:>8.1f} "
+        f"{'-':>12s}",
         f"{'fast path + ugs cache':<26s} {cached['wall_time_s']:>7.3f}s "
-        f"{cached['nests_per_sec']:>8.1f} "
+        f"{cached['cpu_s']:>7.3f}s {cached['nests_per_sec']:>8.1f} "
         f"{100 * cached['ugs_hit_rate']:>11.0f}%",
         "",
         f"cold speedup from cross-nest sharing: {payload['speedup']:.2f}x "
+        f"in CPU time, median of {payload['repeats']} interleaved pairs "
         f"(gate >= {SPEEDUP_FLOOR}x)",
         f"parity: {payload['parity']['decision_mismatches']} decision / "
         f"{payload['parity']['table_mismatches']} table mismatches over "

@@ -121,8 +121,8 @@ def coerce_nest(spec: "LoopNest | str | os.PathLike",
                 name: str | None = None) -> LoopNest:
     """Resolve any accepted nest shape to a :class:`LoopNest`.
 
-    Accepts, in order of precedence: a ``LoopNest`` (returned as-is), a
-    path object, a serialized nest mapping (``{"source": ..., "name": ...}``
+    Accepts, in order of precedence: a ``LoopNest``, a path object, a
+    serialized nest mapping (``{"source": ..., "name": ...}``
     as produced by :func:`serialize_nest` -- the wire form the serving
     layer speaks), a DO-loop source string, a Table 2 kernel name, or a
     string path to a nest file.  Raises :class:`NestResolutionError` with
@@ -130,10 +130,12 @@ def coerce_nest(spec: "LoopNest | str | os.PathLike",
     malformed, or with a closest-match suggestion when a kernel name is
     unknown.
 
-    Every result is interned (:func:`repro.ir.nodes.intern_nest`): two
-    resolutions of the same structure yield one shared node whose
-    structural key is computed exactly once, which is what keeps the
-    serving layer's per-request key derivation near-free.
+    Every result is interned (:func:`repro.ir.nodes.intern_nest`), a
+    ``LoopNest`` argument included: the first nest of a given identity
+    comes back as itself, and every later equal nest comes back as that
+    first instance.  Two resolutions of the same structure so yield one
+    shared node whose structural key is computed exactly once, which is
+    what keeps the serving layer's per-request key derivation near-free.
     """
     return _coerce(spec, name, paths=True)
 

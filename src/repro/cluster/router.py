@@ -50,8 +50,6 @@ import asyncio
 import collections
 import hashlib
 import json
-import signal
-import threading
 import time
 
 from repro import api, obs
@@ -61,13 +59,13 @@ from repro.engine.memo import Memo
 from repro.engine.metrics import Metrics
 from repro.serve import protocol
 from repro.serve.http import (
+    FrontEnd,
     Request,
+    ServiceThread,
     json_response,
     negotiated_error,
     raw_response,
-    read_request,
-    text_response,
-    wants_prometheus,
+    serve_blocking,
 )
 from repro.serve.server import PARENT_ID_HEADER, TRACE_ID_HEADER
 
@@ -88,21 +86,17 @@ _UNSEEN = object()
 class _WorkerError(Exception):
     """The worker could not produce a response (connect/read failure)."""
 
-class ClusterRouter:
+class ClusterRouter(FrontEnd):
     """One public listener + supervisor + membership; loop-confined."""
 
     def __init__(self, config: ClusterConfig | None = None):
-        self.config = config if config is not None else ClusterConfig()
-        self.metrics = Metrics()
+        config = config if config is not None else ClusterConfig()
+        super().__init__(config, Metrics(), label="repro-cluster",
+                         oversized_counter="cluster.oversized",
+                         grace_s=config.drain_grace_s)
         self.membership = Membership(replicas=self.config.ring_replicas)
         self.supervisor = Supervisor(self.config, self.membership,
                                      self.metrics)
-        self.port: int | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._shutdown = asyncio.Event()
-        self._connections: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._started_at = time.monotonic()
         # structural-key memo: normalized nest spec -> ring key (or None
         # when the spec cannot be coerced); key_cache 0 disables it.
         self._keys = (Memo("route_key", self.config.key_cache)
@@ -120,17 +114,24 @@ class ClusterRouter:
         self._warm_bodies: dict[str, tuple[str, str, bytes]] = {}
         self._prewarm_task: asyncio.Task | None = None
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- front-end hooks -----------------------------------------------------
 
-    async def start(self) -> None:
+    def _start_backend(self) -> None:
         self.supervisor.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
-        print(f"repro-cluster routing on "
-              f"http://{self.config.host}:{self.port} "
-              f"({self.config.workers} workers)", flush=True)
+
+    def _banner(self) -> str:
+        return (f"repro-cluster routing on "
+                f"http://{self.config.host}:{self.port} "
+                f"({self.config.workers} workers)")
+
+    async def _drain_backend(self) -> None:
+        # Release pooled keep-alive connections first: the workers'
+        # handler tasks see EOF and exit before the SIGTERM drain.
+        for conns in self._pools.values():
+            for _, writer in conns:
+                writer.close()
+        self._pools.clear()
+        await self.supervisor.drain()
 
     async def wait_ready(self, workers: int | None = None,
                          timeout_s: float | None = None) -> None:
@@ -147,119 +148,8 @@ class ClusterRouter:
                     f"{self.config.startup_timeout_s}s: {states}")
             await asyncio.sleep(self.config.probe_interval_s / 4)
 
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def shutdown(self) -> None:
-        """Close the front door, drain every worker, finish connections."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Release pooled keep-alive connections first: the workers'
-        # handler tasks see EOF and exit before the SIGTERM drain.
-        self._close_pools()
-        await self.supervisor.drain()
-        # Nudge parked keep-alive clients: closing the transport wakes
-        # their handler task out of read_request so the drain below is
-        # bounded by in-flight requests, not idle connections.
-        for writer in list(self._writers):
-            writer.close()
-        if self._connections:
-            await asyncio.wait(set(self._connections),
-                               timeout=self.config.drain_grace_s)
-        self._flush_metrics()
-
-    async def run(self) -> int:
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_shutdown)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await self._shutdown.wait()
-        print("repro-cluster draining...", flush=True)
-        await self.shutdown()
-        print("repro-cluster stopped", flush=True)
-        return 0
-
-    def _close_pools(self) -> None:
-        for conns in self._pools.values():
-            for _, writer in conns:
-                writer.close()
-        self._pools.clear()
-
-    def _flush_metrics(self) -> None:
-        if not self.config.metrics_path:
-            return
-        import pathlib
-        path = pathlib.Path(self.config.metrics_path)
-        document = {
-            "uptime_s": time.monotonic() - self._started_at,
-            "cluster": self._cluster_summary(),
-            "router": {"metrics": self.metrics.snapshot()},
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(document, indent=2, sort_keys=True)
-                            + "\n")
-        except OSError as err:
-            print(f"repro-cluster: cannot flush metrics: {err}", flush=True)
-
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        self._writers.add(writer)
-        try:
-            while True:
-                request = await read_request(
-                    reader, writer, self.config.max_body,
-                    protocol.error_payload,
-                    on_oversized=lambda: self.metrics.count(
-                        "cluster.oversized"))
-                if request is None:
-                    break
-                response = await self._respond(request)
-                writer.write(response)
-                await writer.drain()
-                if not request.keep_alive or self._shutdown.is_set():
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _respond(self, request: Request) -> bytes:
-        close = not request.keep_alive or self._shutdown.is_set()
-        path, _, query = request.path.partition("?")
-        if path == "/healthz":
-            if request.method != "GET":
-                return json_response(405, protocol.error_payload(
-                    "method_not_allowed", "use GET"), close=close)
-            document = self._health_document()
-            status = 200 if document["status"] == "ok" else 503
-            return json_response(status, document, close=close)
-        if path == "/metrics":
-            if request.method != "GET":
-                return json_response(405, protocol.error_payload(
-                    "method_not_allowed", "use GET"), close=close)
-            document = await self._federated_document()
-            if wants_prometheus(request.headers, query):
-                return text_response(
-                    200, obs.document_to_exposition(document),
-                    obs.PROMETHEUS_CONTENT_TYPE, close=close)
-            return json_response(200, document, close=close)
+    async def _route(self, request: Request, path: str,
+                     close: bool) -> bytes:
         if path == "/cluster/status":
             if request.method != "GET":
                 return json_response(405, protocol.error_payload(
@@ -558,7 +448,9 @@ class ClusterRouter:
         if conn[1].is_closing():
             return
         conns = self._pools.setdefault(pool_key, [])
-        if len(conns) < _POOL_SIZE:
+        # Once draining, the pools are closed: a connection coming back
+        # from an in-flight request would otherwise stay open.
+        if len(conns) < _POOL_SIZE and not self._shutdown.is_set():
             conns.append(conn)
         else:
             conn[1].close()
@@ -580,9 +472,9 @@ class ClusterRouter:
             "hot_keys": len(self._hot),
         }
 
-    def _health_document(self) -> dict:
+    def _health(self) -> tuple[int, dict]:
         summary = self._cluster_summary()
-        return {
+        return (200 if summary["ready"] else 503), {
             "status": "ok" if summary["ready"] else "degraded",
             "role": "router",
             "uptime_s": time.monotonic() - self._started_at,
@@ -606,7 +498,14 @@ class ClusterRouter:
             "membership": self.membership.to_dict(),
         }
 
-    async def _federated_document(self) -> dict:
+    def _metrics_document(self) -> dict:
+        return {
+            "uptime_s": time.monotonic() - self._started_at,
+            "cluster": self._cluster_summary(),
+            "router": {"metrics": self.metrics.snapshot()},
+        }
+
+    async def _metrics(self) -> dict:
         """Fan out ``GET /metrics`` to every READY worker and merge."""
         ready = sorted(self.membership.ready(),
                        key=lambda info: info.slot)
@@ -642,13 +541,9 @@ class ClusterRouter:
 
 def run_cluster(config: ClusterConfig | None = None) -> int:
     """Blocking entry point for ``python -m repro serve --workers N``."""
-    router = ClusterRouter(config)
-    try:
-        return asyncio.run(router.run())
-    except KeyboardInterrupt:
-        return 0
+    return serve_blocking(ClusterRouter(config))
 
-class ClusterThread:
+class ClusterThread(ServiceThread):
     """A live cluster on a daemon thread (tests and the benchmark).
 
     ::
@@ -661,58 +556,14 @@ class ClusterThread:
                  wait_for: int | None = None):
         self.router = ClusterRouter(config)
         self._wait_for = wait_for
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = threading.Thread(target=self._main, daemon=True,
-                                        name="repro-cluster-thread")
-        self._error: BaseException | None = None
-
-    @property
-    def port(self) -> int:
-        assert self.router.port is not None
-        return self.router.port
+        super().__init__(
+            self.router,
+            start_timeout_s=self.router.config.startup_timeout_s + 30,
+            stop_timeout_s=60)
 
     @property
     def config(self) -> ClusterConfig:
         return self.router.config
 
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._serve())
-        except BaseException as err:
-            self._error = err
-            self._ready.set()
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        await self.router.start()
+    async def _until_ready(self) -> None:
         await self.router.wait_ready(self._wait_for)
-        self._ready.set()
-        await self.router._shutdown.wait()
-        await self.router.shutdown()
-
-    def start(self) -> "ClusterThread":
-        self._thread.start()
-        self._ready.wait(timeout=self.router.config.startup_timeout_s + 30)
-        if self._error is not None:
-            raise RuntimeError("cluster failed to start") from self._error
-        if self.router.port is None:
-            raise RuntimeError("cluster did not come up in time")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.router.request_shutdown)
-        self._thread.join(timeout=60)
-
-    def run_on_loop(self, coro, timeout_s: float = 30.0):
-        """Run ``coro`` on the cluster's event loop (test hook)."""
-        assert self._loop is not None
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout=timeout_s)
-
-    def __enter__(self) -> "ClusterThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -31,15 +31,14 @@ closes, every accepted request is answered, then the process exits 0.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import pathlib
-import signal
 import sys
 
 from repro.engine import AnalysisEngine
 from repro.serve.batcher import BatchConfig
+from repro.serve.http import serve_blocking
 from repro.serve.server import AnalysisServer, ServeConfig
 
 __all__ = ["build_worker_server", "main"]
@@ -65,22 +64,6 @@ def build_worker_server(args: argparse.Namespace) -> AnalysisServer:
         batch=BatchConfig(queue_limit=args.queue_limit,
                           threads=args.threads))
     return AnalysisServer(config, engine)
-
-async def _serve(server: AnalysisServer, announce: pathlib.Path | None,
-                 slot: int) -> int:
-    await server.start()
-    if announce is not None:
-        _write_announce(announce, {"slot": slot, "port": server.port,
-                                   "pid": os.getpid()})
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, server.request_shutdown)
-        except (NotImplementedError, RuntimeError):
-            pass
-    await server._shutdown.wait()
-    await server.shutdown()
-    return 0
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -117,11 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     server = build_worker_server(args)
-    announce = pathlib.Path(args.announce) if args.announce else None
-    try:
-        return asyncio.run(_serve(server, announce, args.slot))
-    except KeyboardInterrupt:
-        return 0
+
+    async def announce() -> None:
+        _write_announce(pathlib.Path(args.announce),
+                        {"slot": args.slot, "port": server.port,
+                         "pid": os.getpid()})
+
+    return serve_blocking(server, announce if args.announce else None)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -4,9 +4,13 @@ A long-lived asyncio HTTP/1.1 service over the memoized
 :class:`~repro.engine.AnalysisEngine`, so one warm set of
 structural-key caches answers unroll-and-jam queries for every client:
 
-* :mod:`repro.serve.server` -- the stdlib-only HTTP front end
-  (``POST /v1/analyze|optimize|transform``, ``GET /healthz|/metrics``),
-  graceful shutdown, request-size limits, per-request timeouts;
+* :mod:`repro.serve.http` -- the HTTP/1.1 plumbing and the one
+  listener lifecycle (keep-alive loop, ``GET /healthz|/metrics``,
+  SIGTERM drain, metrics flush, thread harness) that the server and the
+  cluster router share;
+* :mod:`repro.serve.server` -- the analysis service on that front end
+  (``POST /v1/analyze|optimize|transform``, ``POST /v2/frame``),
+  request-size limits, per-request timeouts;
 * :mod:`repro.serve.batcher` -- duplicate coalescing, a result LRU,
   bounded admission (429 backpressure), and dispatch on admission into
   the engine's thread pool;

@@ -26,8 +26,9 @@ threads, so engine stage spans nest under the request that caused them.
 
 Robustness: request bodies are capped (413), admission is bounded (429
 with ``Retry-After``), every request has a server-side timeout (504), and
-shutdown is graceful -- the listener closes first, the batcher drains
-everything already accepted, open connections finish writing, and the
+shutdown is the :class:`~repro.serve.http.FrontEnd` drain -- the
+listener closes first, the batcher drains everything already accepted,
+parked keep-alive connections close, busy ones finish writing, and the
 final metrics snapshot is flushed to ``metrics_path`` when configured.
 
 :class:`ServerThread` hosts the same server on a background thread with
@@ -38,10 +39,7 @@ drive a real socket in-process.
 from __future__ import annotations
 
 import asyncio
-import json
 import pathlib
-import signal
-import threading
 import time
 
 from repro import api, obs
@@ -52,14 +50,14 @@ from repro.predict.model import load_default_model, load_model
 from repro.serve import protocol
 from repro.serve.batcher import BatchConfig, MicroBatcher, Overloaded
 from repro.serve.http import (
+    FrontEnd,
     Request as _Request,
+    ServiceThread,
     frame_response as _frame_response,
     is_frame_request as _is_frame_request,
     json_response as _response,
     negotiated_error as _negotiated_error,
-    read_request as _read_http_request,
-    text_response as _text_response,
-    wants_prometheus as _wants_prometheus_headers,
+    serve_blocking,
 )
 
 __all__ = ["ServeConfig", "AnalysisServer", "ServerThread", "run_server"]
@@ -112,14 +110,17 @@ class ServeConfig:
         #: ``predict.mismatch``).
         self.validate_fast = validate_fast
 
-class AnalysisServer:
+class AnalysisServer(FrontEnd):
     """One engine, one batcher, one listener; drive with :meth:`run` (CLI)
     or :meth:`start`/:meth:`shutdown` (embedding)."""
 
     def __init__(self, config: ServeConfig | None = None,
                  engine: AnalysisEngine | None = None):
-        self.config = config if config is not None else ServeConfig()
+        config = config if config is not None else ServeConfig()
         self.engine = engine if engine is not None else AnalysisEngine()
+        super().__init__(config, self.engine.metrics, label="repro-serve",
+                         oversized_counter="serve.oversized",
+                         grace_s=config.shutdown_grace_s)
         self.batcher = MicroBatcher(self.engine, self.config.batch)
         #: The tier=fast predictor: an explicit artifact when configured
         #: (load failures are startup failures), else the committed
@@ -131,12 +132,6 @@ class AnalysisServer:
         else:
             self.predictor = load_default_model()
         self._validations: set[asyncio.Task] = set()
-        self.port: int | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._shutdown = asyncio.Event()
-        self._connections: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._started_at = time.monotonic()
         #: Encoded 200-response frames by payload digest (``None`` when
         #: ``frame_cache`` is 0).  Keyed by
         #: :func:`protocol.request_cache_key`, which is derived from the
@@ -145,25 +140,16 @@ class AnalysisServer:
         self._frame_cache = (Memo("frame", self.config.frame_cache)
                              if self.config.frame_cache > 0 else None)
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- front-end hooks -----------------------------------------------------
 
-    async def start(self) -> None:
+    def _start_backend(self) -> None:
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
-        print(f"repro-serve listening on "
-              f"http://{self.config.host}:{self.port}", flush=True)
 
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
+    def _banner(self) -> str:
+        return (f"repro-serve listening on "
+                f"http://{self.config.host}:{self.port}")
 
-    async def shutdown(self) -> None:
-        """Stop accepting, drain in-flight work, flush metrics."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain_backend(self) -> None:
         await self.batcher.stop()
         # The batcher drained everything it accepted, so any pending
         # fast-tier validations resolve promptly; give them a bounded
@@ -171,48 +157,8 @@ class AnalysisServer:
         if self._validations:
             await asyncio.wait(set(self._validations),
                                timeout=self.config.shutdown_grace_s)
-        if self._connections:
-            await asyncio.wait(set(self._connections),
-                               timeout=self.config.shutdown_grace_s)
-        # Idle keep-alive connections (parked in a client's or the
-        # cluster router's pool) never finish on their own: closing the
-        # transport feeds the parked readline an EOF, so the handler
-        # exits through its normal path (cancelling instead would make
-        # py3.11's stream done-callback re-raise CancelledError into
-        # the loop's exception handler).
-        for writer in set(self._writers):
-            writer.close()
-        if self._connections:
-            await asyncio.wait(set(self._connections),
-                               timeout=self.config.shutdown_grace_s)
-        self._flush_metrics()
 
-    async def run(self) -> int:
-        """The CLI entry: serve until SIGTERM/SIGINT, then drain; 0 on a
-        clean exit."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_shutdown)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-Unix loop: Ctrl-C still lands as KeyboardInterrupt
-        await self._shutdown.wait()
-        print("repro-serve draining...", flush=True)
-        await self.shutdown()
-        print("repro-serve stopped", flush=True)
-        return 0
-
-    def _flush_metrics(self) -> None:
-        if not self.config.metrics_path:
-            return
-        path = pathlib.Path(self.config.metrics_path)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(self._metrics_document(), indent=2,
-                                       sort_keys=True) + "\n")
-        except OSError as err:
-            print(f"repro-serve: cannot flush metrics: {err}", flush=True)
+    def _flushed(self, path: pathlib.Path) -> None:
         if self.engine.profiler.enabled:
             # The profiling contract: the top-N summary lands next to
             # the results JSON it explains.
@@ -223,92 +169,36 @@ class AnalysisServer:
                 print(f"repro-serve: cannot flush profile: {err}",
                       flush=True)
 
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        self._writers.add(writer)
-        try:
-            while True:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    break
-                response = await self._respond(request)
-                writer.write(response)
-                await writer.drain()
-                if not request.keep_alive or self._shutdown.is_set():
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> _Request | None:
-        return await _read_http_request(
-            reader, writer, self.config.max_body, protocol.error_payload,
-            on_oversized=lambda: self.engine.metrics.count("serve.oversized"))
-
-    # -- routing -------------------------------------------------------------
-
-    async def _respond(self, request: _Request) -> bytes:
-        close = not request.keep_alive or self._shutdown.is_set()
-        path, _, query = request.path.partition("?")
-        if path == "/healthz":
-            if request.method != "GET":
-                return _response(405, protocol.error_payload(
-                    "method_not_allowed", "use GET"), close=close)
-            return _response(200, self._health_document(), close=close)
-        if path == "/metrics":
-            if request.method != "GET":
-                return _response(405, protocol.error_payload(
-                    "method_not_allowed", "use GET"), close=close)
-            if self._wants_prometheus(request, query):
-                return _text_response(
-                    200, obs.document_to_exposition(
-                        self._metrics_document()),
-                    obs.PROMETHEUS_CONTENT_TYPE, close=close)
-            return _response(200, self._metrics_document(), close=close)
-        if path.startswith("/v1/") or path == "/v2/frame":
-            # A cluster router forwards its trace context via headers so
-            # this worker's spans nest under the routed request's span.
-            with obs.activate(self._remote_trace(request)), \
-                    obs.span("serve.request", path=path,
-                             method=request.method):
-                return await self._respond_data(request, path, close)
-        return _negotiated_error(request, 404, "not_found",
-                                 f"no route {request.path!r}", close=close)
-
-    async def _respond_data(self, request: _Request, path: str,
-                            close: bool) -> bytes:
+    async def _route(self, request: _Request, path: str,
+                     close: bool) -> bytes:
         """The two data-plane routes: v1 JSON and the v2 binary frame."""
-        if path == "/v2/frame":
+        if not (path.startswith("/v1/") or path == "/v2/frame"):
+            return _negotiated_error(request, 404, "not_found",
+                                     f"no route {request.path!r}",
+                                     close=close)
+        # A cluster router forwards its trace context via headers so this
+        # worker's spans nest under the routed request's span.
+        with obs.activate(self._remote_trace(request)), \
+                obs.span("serve.request", path=path, method=request.method):
+            if path == "/v2/frame":
+                if request.method != "POST":
+                    return _negotiated_error(
+                        request, 405, "method_not_allowed", "use POST",
+                        close=close)
+                if not _is_frame_request(request):
+                    return _negotiated_error(
+                        request, 415, "unsupported_media_type",
+                        f"POST /v2/frame takes "
+                        f"{protocol.CONTENT_TYPE_FRAME}", close=close)
+                status, frame, extra = await self._handle_frame(request)
+                return _frame_response(status, frame, close=close,
+                                       headers=extra)
             if request.method != "POST":
-                return _negotiated_error(request, 405, "method_not_allowed",
-                                         "use POST", close=close)
-            if not _is_frame_request(request):
-                return _negotiated_error(
-                    request, 415, "unsupported_media_type",
-                    f"POST /v2/frame takes "
-                    f"{protocol.CONTENT_TYPE_FRAME}", close=close)
-            status, frame, extra = await self._handle_frame(request)
-            return _frame_response(status, frame, close=close, headers=extra)
-        if request.method != "POST":
-            return _response(405, protocol.error_payload(
-                "method_not_allowed", "use POST"), close=close)
-        status, payload, extra = await self._handle_api(
-            path[len("/v1/"):], request.body)
-        return _response(status, payload, close=close, headers=extra)
+                return _response(405, protocol.error_payload(
+                    "method_not_allowed", "use POST"), close=close)
+            status, payload, extra = await self._handle_api(
+                path[len("/v1/"):], request.body)
+            return _response(status, payload, close=close, headers=extra)
 
     @staticmethod
     def _remote_trace(request: _Request) -> tuple[str, str] | None:
@@ -317,10 +207,6 @@ class AnalysisServer:
         if trace_id and parent_id:
             return (trace_id, parent_id)
         return None
-
-    @staticmethod
-    def _wants_prometheus(request: _Request, query: str) -> bool:
-        return _wants_prometheus_headers(request.headers, query)
 
     async def _handle_api(self, kind: str,
                           body: bytes) -> tuple[int, dict, dict]:
@@ -491,7 +377,7 @@ class AnalysisServer:
 
     # -- documents -----------------------------------------------------------
 
-    def _health_document(self) -> dict:
+    def _health(self) -> tuple[int, dict]:
         doc = {
             "status": "ok",
             "uptime_s": time.monotonic() - self._started_at,
@@ -519,7 +405,7 @@ class AnalysisServer:
         }
         if self.config.shard is not None:
             doc["shard"] = self.config.shard
-        return doc
+        return 200, doc
 
     def _metrics_document(self) -> dict:
         doc = {
@@ -542,13 +428,9 @@ class AnalysisServer:
 def run_server(config: ServeConfig | None = None,
                engine: AnalysisEngine | None = None) -> int:
     """Blocking entry point for ``python -m repro serve``."""
-    server = AnalysisServer(config, engine)
-    try:
-        return asyncio.run(server.run())
-    except KeyboardInterrupt:
-        return 0
+    return serve_blocking(AnalysisServer(config, engine))
 
-class ServerThread:
+class ServerThread(ServiceThread):
     """A live server on a daemon thread (tests and the benchmark harness).
 
     ::
@@ -560,51 +442,8 @@ class ServerThread:
     def __init__(self, config: ServeConfig | None = None,
                  engine: AnalysisEngine | None = None):
         self.server = AnalysisServer(config, engine)
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = threading.Thread(target=self._main, daemon=True,
-                                        name="repro-serve-thread")
-        self._error: BaseException | None = None
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None
-        return self.server.port
+        super().__init__(self.server)
 
     @property
     def engine(self) -> AnalysisEngine:
         return self.server.engine
-
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._serve())
-        except BaseException as err:  # surface startup failures to start()
-            self._error = err
-            self._ready.set()
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        await self.server.start()
-        self._ready.set()
-        await self.server._shutdown.wait()
-        await self.server.shutdown()
-
-    def start(self) -> "ServerThread":
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._error is not None:
-            raise RuntimeError("server failed to start") from self._error
-        if self.server.port is None:
-            raise RuntimeError("server did not come up within 30s")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.server.request_shutdown)
-        self._thread.join(timeout=30)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -1,5 +1,7 @@
 """The repro.api facade: uniform coercion, verbs, and deprecation shims."""
 
+import dataclasses
+import uuid
 import warnings
 
 import pytest
@@ -18,7 +20,15 @@ JACOBI = kernel_by_name("jacobi").nest
 
 class TestCoerceNest:
     def test_loopnest_passthrough(self):
-        assert api.coerce_nest(JACOBI) is JACOBI
+        # A nest not seen before comes back as itself; an equal nest
+        # seen later comes back as that first, canonical instance.  The
+        # name is fresh, so no earlier test can have interned either.
+        name = f"passthrough-{uuid.uuid4().hex}"
+        first = dataclasses.replace(JACOBI, name=name)
+        twin = dataclasses.replace(JACOBI, name=name)
+        assert twin is not first and twin == first
+        assert api.coerce_nest(first) is first
+        assert api.coerce_nest(twin) is first
 
     def test_kernel_name(self):
         nest = api.coerce_nest("jacobi")

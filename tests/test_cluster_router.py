@@ -11,12 +11,15 @@ on the test's own event loop, so each scenario is exact and fast.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import pathlib
 import tempfile
+import threading
+import time
 
 from repro.cluster.membership import DRAINING, READY
-from repro.cluster.router import ClusterRouter, SHARD_HEADER
+from repro.cluster.router import ClusterRouter, ClusterThread, SHARD_HEADER
 from repro.cluster.supervisor import ClusterConfig
 from repro.ir.printer import format_nest
 from repro.kernels import kernel_by_name
@@ -26,13 +29,15 @@ class FakeWorker:
     """A minimal keep-alive HTTP worker that echoes its shard id.
 
     ``mode='hang-up'`` accepts the request and closes the connection
-    without answering -- a worker dying mid-request.
+    without answering -- a worker dying mid-request.  ``mode='gate'``
+    holds every answer until :attr:`release` is set.
     """
 
     def __init__(self, slot: int, mode: str = "ok"):
         self.slot = slot
         self.mode = mode
         self.requests = 0
+        self.release = asyncio.Event()
         self.server: asyncio.AbstractServer | None = None
         self.port: int | None = None
 
@@ -66,6 +71,8 @@ class FakeWorker:
                 self.requests += 1
                 if self.mode == "hang-up":
                     break
+                if self.mode == "gate":
+                    await self.release.wait()
                 body = json.dumps({"ok": True, "shard": self.slot,
                                    "trace": headers.get(
                                        "x-repro-trace-id")}).encode()
@@ -342,3 +349,63 @@ class TestRouterEndpoints:
         router = make_router()
         assert router.supervisor.runtime_dir is None
         assert leftovers() == before
+
+class TestRouterDrain:
+    """The router's drain over a real socket: no worker processes, so a
+    fake worker on the router's own loop stands in for the fleet."""
+
+    @staticmethod
+    def _cluster() -> ClusterThread:
+        return ClusterThread(ClusterConfig(workers=0, port=0,
+                                           drain_grace_s=5)).start()
+
+    def test_idle_client_does_not_hold_the_drain(self):
+        cluster = self._cluster()
+        conn = http.client.HTTPConnection("127.0.0.1", cluster.port,
+                                          timeout=10)
+        try:
+            conn.request("GET", "/cluster/status")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.getheader("connection") == "keep-alive"
+            response.read()
+            started = time.monotonic()
+            cluster.stop()
+            elapsed = time.monotonic() - started
+        finally:
+            conn.close()
+        assert not cluster._thread.is_alive()
+        assert elapsed < 1.0, f"drain took {elapsed:.2f}s"
+
+    def test_in_flight_request_is_answered_through_the_drain(self):
+        cluster = self._cluster()
+        worker = cluster.run_on_loop(FakeWorker(0, mode="gate").start())
+        cluster.run_on_loop(enroll(cluster.router, worker))
+        result = {}
+
+        def fire() -> None:
+            conn = http.client.HTTPConnection("127.0.0.1", cluster.port,
+                                              timeout=30)
+            conn.request("POST", "/v1/optimize",
+                         body=json.dumps({"nest": "jacobi"}).encode())
+            response = conn.getresponse()
+            result["status"] = response.status
+            result["doc"] = json.loads(response.read())
+            conn.close()
+
+        client = threading.Thread(target=fire)
+        client.start()
+        deadline = time.monotonic() + 30
+        while worker.requests < 1:
+            assert time.monotonic() < deadline, "request never forwarded"
+            time.sleep(0.01)
+        stopper = threading.Thread(target=cluster.stop)
+        stopper.start()  # the drain starts with the request held
+        while not cluster.router._shutdown.is_set():
+            assert time.monotonic() < deadline, "drain never started"
+            time.sleep(0.01)
+        cluster._loop.call_soon_threadsafe(worker.release.set)
+        client.join(timeout=30)
+        stopper.join(timeout=30)
+        assert result["status"] == 200 and result["doc"]["shard"] == 0
+        assert not cluster._thread.is_alive()

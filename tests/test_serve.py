@@ -490,6 +490,28 @@ class TestGracefulShutdown:
             thread.join(timeout=30)
         assert [status for status, _ in results] == [200] * len(kernels)
 
+    def test_idle_keepalive_client_does_not_hold_the_drain(self):
+        # One answered request on a connection the client keeps open:
+        # the drain closes the parked connection instead of waiting out
+        # the grace for it.
+        handle = _server(shutdown_grace_s=5).start()
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                          timeout=10)
+        try:
+            body = json.dumps({"nest": "jacobi", "bound": 4}).encode()
+            conn.request("POST", "/v1/optimize", body=body)
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.getheader("connection") == "keep-alive"
+            response.read()
+            started = time.monotonic()
+            handle.stop()
+            elapsed = time.monotonic() - started
+        finally:
+            conn.close()
+        assert not handle._thread.is_alive()
+        assert elapsed < 1.0, f"drain took {elapsed:.2f}s"
+
     def test_sigterm_child_drains_and_exits_zero(self, tmp_path):
         metrics_out = tmp_path / "final_metrics.json"
         env = dict(os.environ,
