@@ -20,7 +20,6 @@ the shapes it rejects (non-SIV H such as ``B(I+J)``, non-axis L).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 
 from repro.linalg.matrix import Matrix, SivRows
@@ -137,30 +136,47 @@ def merge_parts(rows: SivRows, axes: tuple[int, ...], dims: tuple[int, ...],
 # (:func:`repro.reuse.locality.loop_locality_scores`); docs/ALGORITHM.md
 # proves that the classes are the union-find components.
 
-KeyRules = tuple[tuple[int | None, int], ...]
+def linear_keys(rows: SivRows, axes: tuple[int, ...], pos: dict[int, int],
+                sizes: tuple[int, ...], consts: list[tuple[int, ...]],
+                first: int = 0) -> tuple[list[int], list[int]]:
+    """Integer class keys of every copy ``i@b`` of a set's members over the
+    box of ``sizes``: ``bases[i] + sum(strides[p] * b[p])``.
 
-def key_rules(rows: SivRows, axes: tuple[int, ...],
-              pos: dict[int, int]) -> KeyRules:
-    """How each row keys a copy: ``(p, h)`` on ``c_r + h * b[p]`` (driven by
-    the unrolled dim at reduced position p), ``(None, |h|)`` on
-    ``c_r mod |h|`` (driven by an axis of L; checked first), ``(None, 0)``
-    on ``c_r`` (any other row)."""
-    rules = []
-    for col, coef in (entry or (None, 0) for entry in rows):
+    Row r >= ``first`` keys a copy on ``c_r mod |h|`` when an axis of L
+    drives it (checked first), on ``c_r + h * b[p]`` when the unrolled dim
+    at reduced position ``p = pos[col]`` drives it, and on ``c_r``
+    otherwise.  Each row's value, less its least value over the members
+    and the box, is one digit of a mixed-radix integer, so two copies get
+    equal keys exactly when every row's value agrees; rows whose value
+    never varies are skipped.
+    """
+    bases = [0] * len(consts)
+    strides = [0] * len(sizes)
+    radix = 1
+    for r in range(first, len(rows)):
+        col, coef = rows[r] or (None, 0)
         if col in axes:
-            rules.append((None, abs(coef)))
-        elif col in pos:
-            rules.append((pos[col], coef))
-        else:
-            rules.append((None, 0))
-    return tuple(rules)
-
-def class_key(rules: KeyRules, const: tuple[int, ...],
-              b: tuple[int, ...]) -> tuple[int, ...]:
-    """The class key of the copy at offset ``b`` of the member with
-    constant vector ``const``."""
-    return tuple(c + h * b[p] if p is not None else c % h if h else c
-                 for (p, h), c in zip(rules, const))
+            lattice = abs(coef)
+            if lattice == 1:
+                continue
+            bases = [base + c[r] % lattice * radix
+                     for base, c in zip(bases, consts)]
+            radix *= lattice
+            continue
+        values = [c[r] for c in consts]
+        lo, hi = min(values), max(values)
+        p = pos.get(col)
+        if p is not None:
+            reach = coef * (sizes[p] - 1)
+            lo += min(reach, 0)
+            hi += max(reach, 0)
+            strides[p] += coef * radix
+        elif lo == hi:
+            continue
+        bases = [base + (value - lo) * radix
+                 for base, value in zip(bases, values)]
+        radix *= hi - lo + 1
+    return bases, strides
 
 def word_modulus(rows: SivRows, axes: tuple[int, ...]) -> int:
     """``|h_0|`` when row 0's driver lies in L, else 0.
@@ -182,32 +198,6 @@ def word_runs(words: list[int], line: int, modulus: int = 0) -> int:
         runs -= 1
     return runs
 
-def join_word(words: list[int], word: int, line: int,
-              modulus: int = 0) -> int:
-    """Insert ``word`` into one class's non-empty sorted distinct
-    ``words``; returns the change in :func:`word_runs`.  On a line a new
-    word joins each neighbour less than a line away, and the two
-    neighbours were one run exactly when they were that close; on a
-    circle the runs are recounted."""
-    k = bisect_left(words, word)
-    if k < len(words) and words[k] == word:
-        return 0
-    if modulus:
-        before = word_runs(words, line, modulus)
-        words.insert(k, word)
-        return word_runs(words, line, modulus) - before
-    below = words[k - 1] if k else None
-    above = words[k] if k < len(words) else None
-    words.insert(k, word)
-    change = 1
-    if below is not None and word - below < line:
-        change -= 1
-    if above is not None and above - word < line:
-        change -= 1
-    if below is not None and above is not None and above - below < line:
-        change += 1
-    return change
-
 def group_counts(rows: SivRows, axes: tuple[int, ...],
                  consts: list[tuple[int, ...]],
                  line_size: int | None) -> tuple[int, int]:
@@ -218,16 +208,13 @@ def group_counts(rows: SivRows, axes: tuple[int, ...],
     :mod:`repro.reuse.group`."""
     if len(consts) == 1:
         return 1, 1
-    temporal = key_rules(rows, axes, {})
-    spatial = key_rules(rows[1:], axes, {})
-    modulus = word_modulus(rows, axes)
-    classes = set()
-    words: dict[tuple[int, ...], set[int]] = {}
-    for c in consts:
-        classes.add(class_key(temporal, c, ()))
-        words.setdefault(class_key(spatial, c[1:], ()), set()).add(
-            c[0] % modulus if modulus else c[0])
+    temporal, _ = linear_keys(rows, axes, {}, (), consts)
+    spatial, _ = linear_keys(rows, axes, {}, (), consts, first=1)
     if line_size is None:
-        return len(classes), len(words)
-    return len(classes), sum(word_runs(sorted(ws), line_size, modulus)
-                             for ws in words.values())
+        return len(set(temporal)), len(set(spatial))
+    modulus = word_modulus(rows, axes)
+    words: dict[int, set[int]] = {}
+    for key, c in zip(spatial, consts):
+        words.setdefault(key, set()).add(c[0] % modulus if modulus else c[0])
+    return len(set(temporal)), sum(word_runs(sorted(ws), line_size, modulus)
+                                   for ws in words.values())

@@ -8,10 +8,11 @@ counts are connected components / chains of that lattice.
 
 Two forms compute them.  :func:`keyed_counts` answers every point of the
 box at once and is the only way the tables count a set: on an
-SIV-separable set under an axis-spanned localized space each copy gets a
-class key row by row, and one slab-by-slab sweep over the box counts the
-classes, runs and chains; outside the SIV class no copies merge, so the
-counts are products of copy counts.  :func:`stream_chains` takes merge
+SIV-separable set under an axis-spanned localized space each copy gets
+integer class keys linear in its offset (:func:`copy_keys`), and one
+slab-by-slab sweep over the box counts the classes, runs and chains (a
+one-member set in closed form); outside the SIV class no copies merge, so
+the counts are products of copy counts.  :func:`stream_chains` takes merge
 relations from the merge-point solver and answers one point at a time;
 the ``dims=()`` callers use it (scalar replacement, its code generator,
 the prefetch planner and the brute-force baseline).  The union-find
@@ -24,11 +25,11 @@ materialize the unrolled body (tests/test_tables_vs_bruteforce.py).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from repro.linalg import Matrix, VectorSpace, siv
 from repro.linalg.matrix import int_fraction
@@ -51,19 +52,24 @@ def used_dims(matrix: Matrix, dims: tuple[int, ...],
 def _offsets(u: UnrollVector, dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from box_tuple(tuple(u[d] + 1 for d in dims))
 
+def _row_major(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Strides of a row-major box: offset ``b`` linearizes to
+    ``sum(b[t] * strides[t])``."""
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    return tuple(strides)
+
 def _box_geometry(u: UnrollVector,
                   reduced: tuple[int, ...]) -> tuple[tuple[int, ...],
                                                      tuple[int, ...], int]:
     """(sizes, row-major strides, total cells) of the copy box over
-    ``reduced``; offset ``b`` linearizes to ``sum(b[t] * strides[t])``."""
+    ``reduced``."""
     sizes = tuple(u[d] + 1 for d in reduced)
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
     total = 1
     for size in sizes:
         total *= size
-    return sizes, tuple(strides), total
+    return sizes, _row_major(sizes), total
 
 def _clipped_indices(k: tuple[int, ...],
                      sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -73,9 +79,7 @@ def _clipped_indices(k: tuple[int, ...],
     The in-range cells form a sub-box computable directly from ``k``, and
     the shifted node is always ``index + dot(k, strides)``.
     """
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    strides = _row_major(sizes)
     ranges = []
     for kt, size in zip(k, sizes):
         lo = max(0, -kt)
@@ -305,33 +309,12 @@ def _close_chain(nodes: list[tuple[int, tuple[int, ...]]],
 # On an SIV-separable set with an axis-spanned L the union-find merge
 # relations are all "equal key" relations: every row of H either pins the copy
 # offset of one unrolled dim, or folds modulo the lattice of an axis of L,
-# or is fixed.  So each copy gets a class key row by row and the counts at
-# every point of the box come from one sweep over the copies, with no
-# union-find and no per-point re-sort.  The keys and the run rule live in
-# :mod:`repro.linalg.siv`, shared with the locality scores; the derivation
-# and the proof that the classes are the union-find components are in
+# or is fixed.  So each copy gets an integer class key, linear in its offset
+# (:func:`repro.linalg.siv.linear_keys`, shared with the locality scores),
+# and the counts at every point of the box come from one sweep over the
+# copies, with no union-find and no per-point re-sort.  The derivation and
+# the proof that the classes are the union-find components are in
 # docs/ALGORITHM.md.
-
-def _chain_stats(stream: list[tuple], scale: int) -> tuple[int, int, int]:
-    """(memory ops, registers, writes) of one stream class whose copies are
-    in touch order, less ``writes`` per copy along the unused dims.
-
-    A definition opens a chain unless it leads the stream, and a chain needs
-    its time span plus one register; a definition that leads its touch
-    time cuts the span between it and the previous time out of the total.
-    Touch times are in units of ``1/scale`` and congruent modulo ``scale``
-    within a class.
-    """
-    lead = 0 if stream[0][4] else 1
-    writes = gaps = 0
-    prev = stream[0][0]
-    for time, _, _, _, is_write in stream:
-        if is_write:
-            writes += 1
-            gaps += time - prev
-        prev = time
-    span = stream[-1][0] - stream[0][0]
-    return lead, lead + (span - gaps) // scale, writes
 
 def _copies(u: UnrollVector, dims: tuple[int, ...]) -> int:
     """Copies of one reference along ``dims`` at unroll u."""
@@ -339,6 +322,154 @@ def _copies(u: UnrollVector, dims: tuple[int, ...]) -> int:
     for d in dims:
         copies *= u[d] + 1
     return copies
+
+def touch_insert(chain: list[int], touch: int, unit: int) -> tuple[int, int]:
+    """Insert a copy's touch key into the sorted keys of its stream class,
+    which holds at least one copy already.
+
+    A touch key is ``time * unit + order * 2 + is_write``
+    (:class:`CopyKeys`), so sorted keys are in touch order.  A class holds
+    one chain per definition plus one when a read leads it, and needs
+    ``chains + (span - gaps) / scale`` registers, where the gaps are the
+    time steps just before each definition.  Returns the change in
+    (leading reads, span - gaps): only the two neighbours of the new key
+    enter it.
+    """
+    k = bisect_left(chain, touch)
+    chain.insert(k, touch)
+    write = touch & 1
+    time = touch // unit
+    if k == 0:
+        above = chain[1]
+        above_write = above & 1
+        return above_write - write, (1 - above_write) * (above // unit - time)
+    step = time - chain[k - 1] // unit
+    if k == len(chain) - 1:
+        return 0, (1 - write) * step
+    return 0, ((chain[k + 1] & 1) - write) * step
+
+#: ``(bases per member, strides per reduced used dim)``: copy ``i@b`` keys
+#: on ``bases[i] + sum(strides[t] * b[t])``.
+Family = tuple[list[int], list[int]]
+
+class CopyKeys(NamedTuple):
+    """The integer keys of an SIV set's copies over the box of one
+    :class:`UnrollSpace` (:func:`copy_keys`)."""
+
+    reduced: tuple[int, ...]  # the used unrolled dims
+    sizes: tuple[int, ...]  # box sizes over ``reduced``
+    temporal: Family  # GTS classes
+    spatial: Family  # GSS classes (rows >= 1)
+    words: Family  # contiguous word (row 0) within a GSS class
+    stream: Family  # register stream classes (L = the innermost loop)
+    touches: Family  # touch keys within a stream class
+    unit: int  # touch key = time * unit + order * 2 + is_write
+    scale: int  # touch times are in units of 1/scale
+    modulus: int  # words are residues modulo this; 0 on a line
+    defs: int  # members that write through (0 when hoisted)
+    hoisted: bool  # innermost-invariant: one register per stream class
+
+def copy_keys(ugs: UniformlyGeneratedSet, space: UnrollSpace,
+              axes: tuple[int, ...]) -> CopyKeys:
+    """Key every copy of an SIV-separable set under the localized axes.
+
+    Two copies share a temporal, spatial or stream key exactly when the
+    union-find relations of that family join them
+    (:func:`repro.linalg.siv.linear_keys`; with a driven unrolled dim in
+    L, merge_parts refuses every pair, so every copy is its own temporal
+    class).  Touch keys order a stream class by touch time ``-c_t/h_t``
+    in units of ``1/|h_t|`` (larger subscripts come earlier), then offset,
+    then textual position; an innermost-invariant set reads every copy at
+    time 0.
+    """
+    matrix = ugs.matrix
+    rows = matrix.siv_rows()
+    reduced = used_dims(matrix, space.dims)
+    pos = {d: p for p, d in enumerate(reduced)}
+    sizes, strides, total = _box_geometry(space.embed(space.bounds), reduced)
+    inner = matrix.ncols - 1
+    consts = ugs.constants()
+    members = len(consts)
+
+    time_row, refused = None, False
+    for r, entry in enumerate(rows):
+        if entry is not None and entry[0] == inner:
+            time_row = r
+        elif entry is not None and entry[0] in pos and entry[0] in axes:
+            refused = True
+    if refused:
+        temporal = [i * total for i in range(members)], list(strides)
+    else:
+        temporal = siv.linear_keys(rows, axes, pos, sizes, consts)
+    spatial = siv.linear_keys(rows, axes, pos, sizes, consts, first=1)
+    modulus = siv.word_modulus(rows, axes)
+    word_strides = [0] * len(sizes)
+    word_col, word_coef = rows[0] or (None, 0)
+    if not modulus and word_col in pos:
+        word_strides[pos[word_col]] = word_coef
+    words = [c[0] % modulus if modulus else c[0] for c in consts]
+    stream = siv.linear_keys(rows, (inner,), pos, sizes, consts)
+
+    hoisted = time_row is None
+    times, scale, writes = [0] * members, 1, [0] * members
+    if not hoisted:
+        coef = rows[time_row][1]
+        scale = abs(coef)
+        times = [-c[time_row] if coef > 0 else c[time_row] for c in consts]
+        writes = [int(member.is_write) for member in ugs.members]
+    unit = 2 * members * total
+    low = min(times)
+    ranked = sorted(member.position for member in ugs.members)
+    touches = ([(t - low) * unit + 2 * ranked.index(member.position) + w
+                for t, member, w in zip(times, ugs.members, writes)],
+               [2 * members * stride for stride in strides])
+    return CopyKeys(reduced, sizes, temporal, spatial,
+                    (words, word_strides), stream, touches, unit, scale,
+                    modulus, sum(writes), hoisted)
+
+def _cell_offsets(sizes: tuple[int, ...], strides) -> list[int]:
+    """``sum(strides[t] * b[t])`` at every offset b of the box of
+    ``sizes``, in row-major order."""
+    offsets = [0]
+    for size, stride in zip(sizes, strides):
+        offsets = [o + stride * x for o in offsets for x in range(size)]
+    return offsets
+
+def _one_member(ugs: UniformlyGeneratedSet, space: UnrollSpace,
+                axes: tuple[int, ...], line_size: int | None,
+                ) -> Callable[[UnrollVector], tuple[int, ...]]:
+    """The keyed counts of a one-member set, in closed form.
+
+    Every used dim moves the row it drives, and the innermost loop is
+    never unrolled, so no two copies share a temporal class (a driven
+    unrolled dim in L refuses every merge) or a stream class: each copy is
+    its own group and its own chain (a read leads it; a definition writes
+    through).  Copies share a spatial class along the used dims that key
+    no row >= 1: the dim that drives row 0 and the dims of L.  Within a
+    class the words differ only along a row-0 driver outside L, by
+    ``|h_0|`` per step, so a class is one run unless ``|h_0|`` is at least
+    a line.
+    """
+    matrix = ugs.matrix
+    rows = matrix.siv_rows()
+    reduced = used_dims(matrix, space.dims)
+    pinned = tuple(entry[0] for entry in rows[1:] if entry is not None
+                   and entry[0] in reduced and entry[0] not in axes)
+    word_col, word_coef = rows[0] or (None, 0)
+    apart = (word_col in reduced and word_col not in axes
+             and line_size is not None and abs(word_coef) >= line_size)
+    hoisted = all(entry is None or entry[0] != matrix.ncols - 1
+                  for entry in rows)
+    write = ugs.members[0].is_write and not hoisted
+    dims = space.dims
+
+    def count(u: UnrollVector) -> tuple[int, ...]:
+        cells = _copies(u, reduced)
+        g_s = _copies(u, pinned) * (u[word_col] + 1 if apart else 1)
+        chains = _copies(u, dims) if write else cells
+        return cells, g_s, 0 if hoisted else chains, chains
+
+    return count
 
 def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
                  localized: VectorSpace, line_size: int | None,
@@ -355,15 +486,16 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
     The box over the used dims is swept one slab at a time: for each point
     p of all but the last dim, a fresh state takes the copies with offset
     ``b[:-1] <= p`` and ``b[-1] = step`` for step 0, 1, ...; every step's
-    totals are the counts at ``(p, step)``.
+    totals are the counts at ``(p, step)``.  A copy costs a few integer
+    operations: a new word updates its class's runs, and a new touch its
+    class's chains, from their two neighbours.
     """
     matrix = ugs.matrix
     axes = localized.axes()
     if axes is None:
         raise ValueError(f"localized space {localized} is not spanned by "
                          "axes")
-    rows = matrix.siv_rows()
-    if rows is None:
+    if matrix.siv_rows() is None:
         size, dims = ugs.size, space.dims
         temporal_dims = used_dims(matrix, dims)
         spatial_dims = used_dims(matrix, dims, spatial=True)
@@ -374,96 +506,83 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
                     size * _copies(u, spatial_dims), every, every)
 
         return conservative
-    reduced = used_dims(matrix, space.dims)
-    unused = tuple(d for d in space.dims if d not in reduced)
-    pos = {d: p for p, d in enumerate(reduced)}
-    sizes, strides, _ = _box_geometry(space.embed(space.bounds), reduced)
-    inner = matrix.ncols - 1
-
-    # GTS: a driven unrolled dim inside L makes merge_parts refuse every
-    # pair, so every copy is its own class.
-    refused = any(entry is not None and entry[0] in pos and entry[0] in axes
-                  for entry in rows)
-    temporal = siv.key_rules(rows, axes, pos)
-    # GSS: rows >= 1 key the class; row 0 gives the contiguous-word value,
-    # a residue on a circle when its driver lies in L.
-    spatial = siv.key_rules(rows[1:], axes, pos)
-    modulus = siv.word_modulus(rows, axes)
-    word_col, word_coef = rows[0] or (None, 0)
-    word_pos = None if modulus else pos.get(word_col)
-    stream = siv.key_rules(rows, (inner,), pos)
-    time_row = next((r for r, entry in enumerate(rows)
-                     if entry is not None and entry[0] == inner), None)
-    scale = abs(rows[time_row][1]) if time_row is not None else 1
-    # touch time -c/h in units of 1/|h|: larger subscripts come earlier
-    sign = -1 if time_row is not None and rows[time_row][1] > 0 else 1
-
-    consts = ugs.constants()
-    records = []
-    for b in box_tuple(sizes):
-        copies = []
-        for i, (c, member) in enumerate(zip(consts, ugs.members)):
-            word = c[0] % modulus if modulus else c[0]
-            if word_pos is not None:
-                word += word_coef * b[word_pos]
-            touch = None
-            if time_row is not None:
-                touch = (sign * c[time_row], b, member.position, i,
-                         member.is_write)
-            copies.append(((i, b) if refused
-                           else siv.class_key(temporal, c, b),
-                           siv.class_key(spatial, c[1:], b), word,
-                           siv.class_key(stream, c, b), touch))
-        records.append(copies)
+    if ugs.size == 1:
+        return _one_member(ugs, space, axes, line_size)
+    keys = copy_keys(ugs, space, axes)
+    unit, modulus, sizes = keys.unit, keys.modulus, keys.sizes
+    strides = _row_major(sizes)
+    families = (keys.temporal, keys.spatial, keys.words, keys.stream,
+                keys.touches)
+    # records[cell] = every member's five keys at that offset, row-major
+    records = [list(zip(*[bases for bases, _ in families]))]
+    for size, (a, b, c, d, e) in zip(sizes, zip(*[st for _, st in families])):
+        records = [[(ka + a * x, kb + b * x, kc + c * x, kd + d * x,
+                     ke + e * x) for ka, kb, kc, kd, ke in cell]
+                   for cell in records for x in range(size)]
 
     *head_sizes, last = sizes or (1,)
     values: list[tuple[int, ...]] = [()] * len(records)
     for p in box_tuple(tuple(head_sizes)):
         at = sum(x * s for x, s in zip(p, strides))
-        heads = [sum(x * s for x, s in zip(q, strides))
-                 for q in box_tuple(tuple(x + 1 for x in p))]
-        temporal_classes: set = set()
-        runs: dict[tuple, list[int]] = {}
-        streams: dict[tuple, list[tuple]] = {}
-        spatial_sets = memory = registers = writes = 0
+        heads = _cell_offsets(tuple(x + 1 for x in p), strides)
+        temporal_classes: set[int] = set()
+        runs: dict[int, list[int]] = {}
+        streams: dict[int, list[int]] = {}
+        spatial_sets = leads = spans = 0
         for step in range(last):
             for h in heads:
                 for g_t, g_s, word, s_key, touch in records[h + step]:
+                    chain = streams.get(s_key)
+                    if chain is None:
+                        streams[s_key] = [touch]
+                        leads += 1 - (touch & 1)
+                    else:
+                        lead, span = touch_insert(chain, touch, unit)
+                        leads += lead
+                        spans += span
                     temporal_classes.add(g_t)
-                    words = runs.get(g_s)
-                    if words is None:
+                    ws = runs.get(g_s)
+                    if ws is None:
                         runs[g_s] = [word]
                         spatial_sets += 1
                     elif line_size is not None:
-                        spatial_sets += siv.join_word(words, word,
-                                                      line_size, modulus)
-                    chain = streams.get(s_key)
-                    if touch is None:
-                        # innermost-invariant: one hoisted register per class
-                        if chain is None:
-                            streams[s_key] = []
-                            registers += 1
-                        continue
-                    if chain is None:
-                        chain = streams[s_key] = []
-                    else:
-                        mem, reg, wr = _chain_stats(chain, scale)
-                        memory -= mem
-                        registers -= reg
-                        writes -= wr
-                    insort(chain, touch)
-                    mem, reg, wr = _chain_stats(chain, scale)
-                    memory += mem
-                    registers += reg
-                    writes += wr
+                        k = bisect_left(ws, word)
+                        n = len(ws)
+                        if k < n and ws[k] == word:
+                            continue
+                        if modulus:
+                            # on a circle the class's runs are recounted
+                            change = -siv.word_runs(ws, line_size, modulus)
+                            ws.insert(k, word)
+                            spatial_sets += change + siv.word_runs(
+                                ws, line_size, modulus)
+                            continue
+                        # on a line a new word joins each neighbour less
+                        # than a line away, and the two neighbours were one
+                        # run exactly when they were that close
+                        change = 1
+                        if k and word - ws[k - 1] < line_size:
+                            change -= 1
+                        if k < n:
+                            if ws[k] - word < line_size:
+                                change -= 1
+                            if k and ws[k] - ws[k - 1] < line_size:
+                                change += 1
+                        ws.insert(k, word)
+                        spatial_sets += change
             values[at + step] = (len(temporal_classes), spatial_sets,
-                                 memory, registers, writes)
+                                 0 if keys.hoisted else leads,
+                                 leads + spans // keys.scale)
+
+    at_cell = list(zip(keys.reduced, strides))
+    defs = keys.defs
 
     def count(u: UnrollVector) -> tuple[int, ...]:
-        g_t, g_s, mem, reg, wr = values[
-            sum(u[d] * s for d, s in zip(reduced, strides))]
-        copies = _copies(u, unused)
-        return g_t, g_s, mem + copies * wr, reg + copies * wr
+        g_t, g_s, mem, reg = values[sum(u[d] * s for d, s in at_cell)]
+        # every copy of a definition, textually identical ones along the
+        # unused dims included, writes through and opens a chain
+        writes = defs * _copies(u, space.dims)
+        return g_t, g_s, mem + writes, reg + writes
 
     return count
 

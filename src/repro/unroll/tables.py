@@ -70,8 +70,7 @@ class OffsetTable:
         """Evaluate a tuple-valued count once at every box point into
         ``width`` tables, one per component -- this is how the four
         tables of a set share one stream-chain computation per point."""
-        embed = space.embed
-        rows = [count(embed(reduced)) for reduced in space.reduced_box()]
+        rows = [count(u) for u in space]
         columns = [list(column) for column in zip(*rows)]
         if len(columns) != width:
             raise ValueError(f"count yields {len(columns)} values, "

@@ -29,6 +29,12 @@ the components of the copy lattice one box point at a time, with
 :func:`counted_tables` evaluates them into the four count tables of a set:
 the oracle of the keyed tables.
 
+The tuple class keys (:func:`key_rules`, :func:`class_key`) and the
+whole-chain recount :func:`chain_stats` are the oracles of the integer
+keys of :func:`repro.unroll.streams.copy_keys` and
+:func:`repro.linalg.siv.linear_keys` and of the neighbour update of
+:func:`repro.unroll.streams.touch_insert`.
+
 :func:`count_increments` and :func:`paper_sum` are the paper's table form
 (per-offset increments and the ``Sum`` scan of Figure 2), the reference
 the dense count tables of :class:`repro.unroll.tables.OffsetTable` are
@@ -46,6 +52,7 @@ from unittest import mock
 import repro.unroll.optimize
 import repro.unroll.tables
 from repro.linalg import Matrix, VectorSpace, siv
+from repro.linalg.matrix import SivRows
 from repro.reuse.locality import pairwise_locality_scores
 from repro.reuse.ugs import UniformlyGeneratedSet
 from repro.reuse.unionfind import UnionFind
@@ -85,6 +92,55 @@ def paper_sum(increments: dict[tuple[int, ...], int],
     """The paper's Sum (Figure 2): every increment at an offset <= query."""
     return sum(inc for offset, inc in increments.items()
                if all(o <= q for o, q in zip(offset, query)))
+
+# -- tuple class keys and whole-chain stats ----------------------------------
+
+KeyRules = tuple[tuple[int | None, int], ...]
+
+def key_rules(rows: SivRows, axes: tuple[int, ...],
+              pos: dict[int, int]) -> KeyRules:
+    """How each row keys a copy: ``(p, h)`` on ``c_r + h * b[p]`` (driven by
+    the unrolled dim at reduced position p), ``(None, |h|)`` on
+    ``c_r mod |h|`` (driven by an axis of L; checked first), ``(None, 0)``
+    on ``c_r`` (any other row)."""
+    rules = []
+    for col, coef in (entry or (None, 0) for entry in rows):
+        if col in axes:
+            rules.append((None, abs(coef)))
+        elif col in pos:
+            rules.append((pos[col], coef))
+        else:
+            rules.append((None, 0))
+    return tuple(rules)
+
+def class_key(rules: KeyRules, const: tuple[int, ...],
+              b: tuple[int, ...]) -> tuple[int, ...]:
+    """The class key of the copy at offset ``b`` of the member with
+    constant vector ``const``."""
+    return tuple(c + h * b[p] if p is not None else c % h if h else c
+                 for (p, h), c in zip(rules, const))
+
+def chain_stats(stream: list[tuple], scale: int) -> tuple[int, int, int]:
+    """(memory ops, registers, writes) of one stream class whose copies are
+    ``(time, ..., is_write)`` tuples in touch order, less ``writes`` per
+    copy along the unused dims.
+
+    A definition opens a chain unless it leads the stream, and a chain needs
+    its time span plus one register; a definition that leads its touch
+    time cuts the span between it and the previous time out of the total.
+    Touch times are in units of ``1/scale`` and congruent modulo ``scale``
+    within a class.
+    """
+    lead = 0 if stream[0][-1] else 1
+    writes = gaps = 0
+    prev = stream[0][0]
+    for time, *_, is_write in stream:
+        if is_write:
+            writes += 1
+            gaps += time - prev
+        prev = time
+    span = stream[-1][0] - stream[0][0]
+    return lead, lead + (span - gaps) // scale, writes
 
 # -- the union-find lattice counts -------------------------------------------
 
