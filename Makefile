@@ -3,8 +3,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-quick bench-check bench-baseline bench-predict \
-	bench-reuse bench-simd bench-ugs train serve
+.PHONY: test lint bench-quick bench-check bench-baseline bench-reuse \
+	bench-simd bench-ugs serve
 
 test:
 	$(PYTHON) -m pytest tests/ -x -q
@@ -19,7 +19,6 @@ bench-quick:
 	$(PYTHON) benchmarks/bench_engine_throughput.py --quick
 	$(PYTHON) benchmarks/bench_serve_throughput.py --quick
 	$(PYTHON) benchmarks/bench_cluster_throughput.py --quick
-	$(PYTHON) benchmarks/bench_predict.py --quick
 	$(PYTHON) benchmarks/bench_reuse_profile.py --quick
 	$(PYTHON) benchmarks/bench_simd.py --quick
 	$(PYTHON) benchmarks/bench_ugs_cache.py --quick
@@ -29,11 +28,6 @@ bench-quick:
 # every cache geometry.
 bench-reuse:
 	$(PYTHON) benchmarks/bench_reuse_profile.py
-
-# The fast-tier gates at full size (docs/PREDICT.md): held-out top-1
-# >= 0.85 and fast p99 <= 0.05x exact cold p99.
-bench-predict:
-	$(PYTHON) benchmarks/bench_predict.py
 
 # The SLP packing gates at full corpus size (docs/VECTORIZE.md): packed
 # execution bit-identical to the scalar oracle, >=30% of packable nests
@@ -46,11 +40,6 @@ bench-simd:
 # mismatches, 10k-nest streaming peak <= 1.25x the 1k-nest peak.
 bench-ugs:
 	$(PYTHON) benchmarks/bench_ugs_cache.py
-
-# Retrain the committed default fast-tier model artifact (labels the
-# full 4800-nest corpus with the exact engine first -- takes minutes).
-train:
-	$(PYTHON) -m repro train --out src/repro/predict/artifacts/default.json
 
 # The regression gate: fail on >25% throughput drop or p95 latency growth.
 bench-check: bench-quick

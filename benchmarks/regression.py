@@ -113,23 +113,6 @@ SPECS: dict[str, dict] = {
                 ("geometries", "assoc8_2048", "mean_abs_error"), "lower"),
         },
     },
-    "predict": {
-        "results": "predict.json",
-        "metrics": {
-            # Accuracy is deterministic (fixed model, fixed seeded eval
-            # slice), so the band only absorbs intentional model
-            # refreshes; the hard >=0.85 bar lives in
-            # bench_predict.acceptance().
-            "held_out_top1": (("eval", "accuracy"), "higher"),
-            # The mean-rate is the stable latency signal; the fast/exact
-            # p99 *ratio* is a quotient of two tail percentiles (pure
-            # noise on shared runners, same reason cluster dropped its
-            # scaling ratio) and is gated by the hard 0.05x bar in
-            # bench_predict.acceptance() instead.
-            "fast_decisions_per_sec": (("latency", "fast_per_sec"),
-                                       "higher"),
-        },
-    },
     "ugs_cache": {
         "results": "ugs_cache.json",
         "metrics": {

@@ -64,7 +64,6 @@ __all__ = [
     "optimize",
     "optimize_many",
     "optimize_stream",
-    "predict_unroll",
     "reuse_profile",
     "serialize_nest",
     "transform",
@@ -358,37 +357,6 @@ def optimize_stream(specs, machine: "MachineModel | str" = "alpha",
             _batch_entries(specs), model, workers=workers, bound=bound,
             max_loops=max_loops, include_cache=include_cache, trip=trip,
             chunk_size=chunk_size)
-
-def predict_unroll(nest_or_source,
-                   machine: "MachineModel | str" = "alpha",
-                   bound: int = DEFAULT_BOUND, trip: int = 100,
-                   model=None):
-    """The learned fast tier's unroll decision for one nest, in
-    microseconds (docs/PREDICT.md).
-
-    Returns a :class:`repro.predict.model.Prediction` -- the predicted
-    vector plus the model's confidence -- or ``None`` when no model is
-    available for this nest's depth.  ``model`` accepts a loaded
-    :class:`~repro.predict.model.UnrollPredictor` or an artifact path;
-    omitted, the committed default artifact is used.  This is advisory:
-    :func:`optimize` remains the exact answer.
-    """
-    from repro.predict.model import (
-        UnrollPredictor, load_default_model, load_model)
-
-    with _span("api.predict_unroll"):
-        nest = coerce_nest(nest_or_source)
-        machine_model = coerce_machine(machine)
-        if model is None:
-            predictor = load_default_model()
-        elif isinstance(model, UnrollPredictor):
-            predictor = model
-        else:
-            predictor = load_model(model)
-        if predictor is None:
-            return None
-        return predictor.predict(nest, machine_model, bound=bound,
-                                 trip=trip)
 
 def transform(nest_or_source, unroll: Sequence[int] | None = None,
               machine: "MachineModel | str" = "alpha",

@@ -15,8 +15,6 @@ Commands:
   (``--count``/``--seed``; ``--out DIR`` writes nest files)
 * ``serve``                        -- the HTTP analysis service (docs/SERVING.md);
   ``--workers N`` shards it across N processes (docs/CLUSTER.md)
-* ``train``                        -- train the tier=fast unroll predictor
-  (docs/PREDICT.md)
 * ``cluster (status|drain|scale|reload)`` -- administer a sharded router
 * ``metrics``                      -- dump metrics (JSON or Prometheus text)
 * ``cache (stats|clear)``          -- manage the on-disk table cache
@@ -389,22 +387,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     print(f"\n{written} nest(s), seed {args.seed}", file=sys.stderr)
     return 0
 
-def _predict_worker_args(args: argparse.Namespace) -> list[str]:
-    """Forward the fast-tier knobs to sharded cluster workers."""
-    extra: list[str] = []
-    if args.model:
-        extra.extend(["--model", args.model])
-    if args.no_predict:
-        extra.append("--no-predict")
-    if args.auto_confidence is not None:
-        extra.extend(["--auto-confidence", str(args.auto_confidence)])
-    return extra
-
-def cmd_train(args: argparse.Namespace) -> int:
-    from repro.predict.train import run_train
-
-    return run_train(args)
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.engine import AnalysisEngine, default_cache_dir
@@ -430,16 +412,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                        if args.cache else None),
             trace=args.trace,
             worker_threads=args.threads,
-            worker_queue_limit=args.queue_limit,
-            worker_extra_args=_predict_worker_args(args))
+            worker_queue_limit=args.queue_limit)
         return run_cluster(cluster)
     config = ServeConfig(
         host=args.host, port=args.port, machine=args.machine,
         max_body=args.max_body, request_timeout_s=args.timeout,
         shutdown_grace_s=args.drain_grace,
         metrics_path=args.metrics_out,
-        model_path=args.model, predict=not args.no_predict,
-        auto_confidence=args.auto_confidence,
         batch=BatchConfig(queue_limit=args.queue_limit,
                           threads=args.threads))
     profiler = obs.Profiler(enabled=True) if args.profile else None
@@ -684,25 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "the summary flushes next to --metrics-out")
     p_serve.add_argument("--trace", action="store_true",
                          help="record trace spans (or set REPRO_TRACE=1)")
-    p_serve.add_argument("--model", default=None,
-                         help="tier=fast model artifact (default: the "
-                              "committed default; see docs/PREDICT.md)")
-    p_serve.add_argument("--no-predict", action="store_true",
-                         help="disable the learned fast tier (tier=fast/"
-                              "auto requests fall back to exact)")
-    p_serve.add_argument("--auto-confidence", type=float, default=None,
-                         help="tier=auto serves fast only at or above "
-                              "this confidence (default: the artifact's "
-                              "embedded floor)")
     p_serve.set_defaults(func=cmd_serve)
-
-    p_train = sub.add_parser(
-        "train", help="train the tier=fast unroll predictor "
-                      "(see docs/PREDICT.md)")
-    from repro.predict.train import add_train_arguments
-
-    add_train_arguments(p_train)
-    p_train.set_defaults(func=cmd_train)
 
     p_cluster = sub.add_parser(
         "cluster", help="administer a running sharded router "

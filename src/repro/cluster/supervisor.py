@@ -41,7 +41,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import repro
 from repro.cluster.membership import (
@@ -98,7 +98,6 @@ class ClusterConfig:
     #: Announce files and the default table dir (default: an owned
     #: tempdir, created on start and removed on stop).
     runtime_dir: str | None = None
-    worker_extra_args: list[str] = field(default_factory=list)
 
 class Supervisor:
     """Owns the worker subprocesses; mutate only from the event loop."""
@@ -137,7 +136,6 @@ class Supervisor:
                "--threads", str(cfg.worker_threads),
                "--queue-limit", str(cfg.worker_queue_limit),
                "--cache-dir", str(self.tables_dir())]
-        cmd.extend(cfg.worker_extra_args)
         return cmd
 
     def tables_dir(self) -> pathlib.Path:

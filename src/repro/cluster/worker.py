@@ -58,9 +58,6 @@ def build_worker_server(args: argparse.Namespace) -> AnalysisServer:
         host=args.host, port=args.port, machine=args.machine,
         max_body=args.max_body, request_timeout_s=args.timeout,
         metrics_path=args.metrics_out, shard=str(args.slot),
-        model_path=getattr(args, "model", None),
-        predict=not getattr(args, "no_predict", False),
-        auto_confidence=getattr(args, "auto_confidence", None),
         batch=BatchConfig(queue_limit=args.queue_limit,
                           threads=args.threads))
     return AnalysisServer(config, engine)
@@ -88,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--metrics-out", default=None,
                         help="flush the final metrics snapshot here on "
                              "drain")
-    parser.add_argument("--model", default=None,
-                        help="tier=fast model artifact (default: the "
-                             "committed default)")
-    parser.add_argument("--no-predict", action="store_true",
-                        help="disable the learned fast tier on this shard")
-    parser.add_argument("--auto-confidence", type=float, default=None,
-                        help="tier=auto confidence threshold override")
     return parser
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,8 +2,9 @@
 
 Every in-process cache -- the engine's graph, artifacts, tables, profile
 and SIMD memos, the per-UGS table cache, the batcher's result cache, the
-server's and the client's frame caches and the router's L2 and key maps
--- is a :class:`Memo`: a thread-safe LRU bounded by ``capacity``.
+server's and the client's frame caches, the router's L2 and key maps
+and the :func:`~repro.ir.nodes.intern_nest` table -- is a
+:class:`Memo`: a thread-safe LRU bounded by ``capacity``.
 
 Given a :class:`~repro.engine.metrics.Metrics`, a memo counts
 ``cache.<family>.hit`` when any tier answers and ``cache.<family>.miss``

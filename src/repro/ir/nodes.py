@@ -15,7 +15,6 @@ to rival the analysis cost itself (see docs/WIRE.md).
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -373,10 +372,11 @@ def nest_identity(nest: "LoopNest") -> tuple:
 
 #: Canonical instance per :func:`nest_identity`: the first nest seen wins
 #: and every later identical nest resolves to it, so its cached key,
-#: dependence graph, and tables are shared for free.
-_INTERNED: dict[tuple, "LoopNest"] = {}
-_INTERN_LOCK = threading.Lock()
+#: dependence graph, and tables are shared for free.  An LRU
+#: :class:`~repro.engine.memo.Memo` of this many structures, built at
+#: first use because :mod:`repro.engine` imports this package.
 _INTERN_CAPACITY = 4096
+_interned = None
 
 def intern_nest(nest: "LoopNest") -> "LoopNest":
     """The canonical instance of ``nest``'s :func:`nest_identity`.
@@ -385,19 +385,13 @@ def intern_nest(nest: "LoopNest") -> "LoopNest":
     registers ``nest`` as the canonical instance.  The twin carries a
     pre-computed structural key, so consumers downstream of
     :func:`repro.api.coerce_nest` never re-hash a known structure.  The
-    table is bounded; when full it is reset rather than LRU-tracked (the
-    working set of distinct structures in one process is tiny next to the
-    bound, and a reset only costs re-hashing each structure once).
+    table is bounded and evicts the least recently interned structure.
     """
-    key = nest_identity(nest)
-    with _INTERN_LOCK:
-        canonical = _INTERNED.get(key)
-        if canonical is not None:
-            return canonical
-        if len(_INTERNED) >= _INTERN_CAPACITY:
-            _INTERNED.clear()
-        _INTERNED[key] = nest
-        return nest
+    global _interned
+    if _interned is None:
+        from repro.engine.memo import Memo
+        _interned = Memo("intern", _INTERN_CAPACITY)
+    return _interned.get_or_build(nest_identity(nest), lambda: nest)
 
 def _key_bound(bound: Bound) -> str:
     params = ",".join(f"{name}*{coef}"

@@ -522,10 +522,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--transport", default="auto", choices=TRANSPORTS,
                         help="wire encoding: negotiate (auto), v1 JSON, "
                              "or v2 binary frames")
-    parser.add_argument("--tier", default=None,
-                        choices=("exact", "fast", "auto"),
-                        help="serving tier for optimize requests "
-                             "(default: omitted, the pre-tier wire shape)")
     parser.add_argument("--wait", type=float, default=15.0,
                         help="seconds to wait for /healthz before loading")
     parser.add_argument("--max-retries", type=int, default=4,
@@ -545,12 +541,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     workload = build_workload(args.requests, args.duplicates,
                               kinds=tuple(args.kinds.split(",")))
-    extra = {"tier": args.tier} if args.tier else {}
     stats = run_load(args.host, args.port, workload,
                      concurrency=args.concurrency, machine=args.machine,
                      max_retries=args.max_retries,
                      backoff_cap_s=args.backoff_cap,
-                     transport=args.transport, bound=args.bound, **extra)
+                     transport=args.transport, bound=args.bound)
     probe = Client(args.host, args.port)
     try:
         _, stats["server_metrics"] = probe.metrics()

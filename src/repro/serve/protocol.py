@@ -69,7 +69,6 @@ __all__ = [
     "pack_obj",
     "parse_frame_request",
     "parse_request",
-    "predict_payload",
     "peek_frame",
     "request_cache_key",
     "spec_from_document",
@@ -82,11 +81,11 @@ __all__ = [
 #: the frame header's kind codes).
 KINDS = ("analyze", "optimize", "transform")
 
-#: Serving tiers an optimize request may ask for.  ``exact`` (and an
-#: omitted tier, which is wire-identical to the pre-tier protocol) runs
-#: the full table search; ``fast`` answers from the learned predictor
-#: (docs/PREDICT.md); ``auto`` serves fast when the model is confident
-#: and falls back to exact otherwise.
+#: Serving tiers an optimize request may name.  The exact engine answers
+#: every one of them and the response echoes ``"tier": "exact"``; an
+#: omitted tier is wire-identical to the pre-tier protocol and echoes
+#: nothing.  ``fast`` and ``auto`` still parse because older clients
+#: send them.
 TIERS = ("exact", "fast", "auto")
 
 #: Content types of the two negotiated encodings.
@@ -279,24 +278,6 @@ def optimize_payload(nest: LoopNest, machine: MachineModel,
     if simd is not None:
         payload["simd"] = simd.to_dict()
     return payload
-
-def predict_payload(nest: LoopNest, machine: MachineModel,
-                    prediction) -> dict:
-    """The ``tier=fast`` optimize response: the predicted unroll vector
-    plus model provenance.  No balance/objective/registers fields -- the
-    fast tier never builds the tables that define them; clients that
-    need those ask ``tier=exact``."""
-    return {
-        "ok": True,
-        "kind": "optimize",
-        "nest": nest.name,
-        "machine": machine.name,
-        "structural_key": nest.structural_key(),
-        "unroll": list(prediction.unroll),
-        "tier": "fast",
-        "confidence": float(prediction.confidence),
-        "model_id": prediction.model_id,
-    }
 
 def transform_payload(nest: LoopNest, machine: MachineModel,
                       unrolled: UnrolledNest) -> dict:
@@ -504,10 +485,9 @@ FRAME_REQUEST = 0
 FRAME_RESPONSE = 1
 FRAME_ERROR = 2
 
-#: Header flag bits.  The tier bits let the router and the server's
-#: warm path see the requested tier without unpacking the payload; a
-#: frame with neither tier bit set is byte-identical to the pre-tier
-#: encoding.
+#: Header flag bits.  The tier bits carry an older client's ``fast`` or
+#: ``auto`` tier without unpacking the payload; a frame with neither
+#: tier bit set is byte-identical to the pre-tier encoding.
 FLAG_HAS_KEY = 0x01
 FLAG_TIER_FAST = 0x02
 FLAG_TIER_AUTO = 0x04
@@ -676,8 +656,9 @@ def request_cache_key(frame: Frame) -> tuple:
     response is fully determined by the verb, the machine slot, the tier
     flag bits, and the payload bytes, so a client lying in the key
     header can never poison an entry another client would hit.  The tier
-    bits *are* included -- a ``tier=fast`` response must never be served
-    to an exact request for the same payload, or vice versa.
+    bits *are* included: a tier-less request's payload bytes equal a
+    ``tier=fast`` one's, but only the latter's response echoes
+    ``"tier": "exact"``.
     """
     digest = hashlib.sha256(frame.payload_bytes).digest()
     tier_bits = frame.flags & (FLAG_TIER_FAST | FLAG_TIER_AUTO)

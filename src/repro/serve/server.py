@@ -46,7 +46,6 @@ from repro import api, obs
 from repro.engine import AnalysisEngine
 from repro.engine.memo import Memo
 from repro.ir.nodes import nest_identity
-from repro.predict.model import load_default_model, load_model
 from repro.serve import protocol
 from repro.serve.batcher import BatchConfig, MicroBatcher, Overloaded
 from repro.serve.http import (
@@ -77,11 +76,7 @@ class ServeConfig:
                  metrics_path: str | None = None,
                  batch: BatchConfig | None = None,
                  shard: str | None = None,
-                 frame_cache: int = 2048,
-                 model_path: str | None = None,
-                 predict: bool = True,
-                 auto_confidence: float | None = None,
-                 validate_fast: bool = True):
+                 frame_cache: int = 2048):
         self.host = host
         self.port = port
         self.machine = machine
@@ -96,19 +91,6 @@ class ServeConfig:
         #: Encoded-response cache entries for the /v2/frame fast path
         #: (0 disables it).
         self.frame_cache = frame_cache
-        #: Model artifact for the tier=fast predictor; ``None`` loads
-        #: the committed default (docs/PREDICT.md).
-        self.model_path = model_path
-        #: ``False`` disables the fast tier entirely (tier=fast then
-        #: falls back to exact and counts ``predict.unsupported``).
-        self.predict = predict
-        #: tier=auto serves fast only at or above this confidence;
-        #: ``None`` uses the artifact's embedded floor.
-        self.auto_confidence = auto_confidence
-        #: Asynchronously re-answer every fast response with the exact
-        #: engine and count agreement (``predict.validated`` /
-        #: ``predict.mismatch``).
-        self.validate_fast = validate_fast
 
 class AnalysisServer(FrontEnd):
     """One engine, one batcher, one listener; drive with :meth:`run` (CLI)
@@ -122,16 +104,6 @@ class AnalysisServer(FrontEnd):
                          oversized_counter="serve.oversized",
                          grace_s=config.shutdown_grace_s)
         self.batcher = MicroBatcher(self.engine, self.config.batch)
-        #: The tier=fast predictor: an explicit artifact when configured
-        #: (load failures are startup failures), else the committed
-        #: default, else ``None`` -- the server then serves exact only.
-        if not self.config.predict:
-            self.predictor = None
-        elif self.config.model_path is not None:
-            self.predictor = load_model(self.config.model_path)
-        else:
-            self.predictor = load_default_model()
-        self._validations: set[asyncio.Task] = set()
         #: Encoded 200-response frames by payload digest (``None`` when
         #: ``frame_cache`` is 0).  Keyed by
         #: :func:`protocol.request_cache_key`, which is derived from the
@@ -151,12 +123,6 @@ class AnalysisServer(FrontEnd):
 
     async def _drain_backend(self) -> None:
         await self.batcher.stop()
-        # The batcher drained everything it accepted, so any pending
-        # fast-tier validations resolve promptly; give them a bounded
-        # window to record their verdicts before metrics flush.
-        if self._validations:
-            await asyncio.wait(set(self._validations),
-                               timeout=self.config.shutdown_grace_s)
 
     def _flushed(self, path: pathlib.Path) -> None:
         if self.engine.profiler.enabled:
@@ -257,10 +223,6 @@ class AnalysisServer(FrontEnd):
         except ValueError as err:
             return 400, protocol.error_payload("unknown_machine",
                                                str(err)), {}
-        if spec.tier in ("fast", "auto") and spec.kind == "optimize":
-            response = self._try_fast(spec, nest, machine)
-            if response is not None:
-                return response
         key = (spec.kind, nest_identity(nest), machine.name,
                spec.params_key(), spec.unroll)
         try:
@@ -292,88 +254,11 @@ class AnalysisServer(FrontEnd):
                 "internal", f"{type(err).__name__}: {err}"), {}
         self.engine.metrics.count("serve.responses_2xx")
         if spec.tier is not None:
-            # Echo which tier answered -- on a copy: the batcher's
-            # payload dict is shared with coalesced waiters and caches.
+            # The exact engine answers every tier; echo that -- on a
+            # copy: the batcher's payload dict is shared with coalesced
+            # waiters and caches.
             payload = dict(payload, tier="exact")
         return 200, payload, {}
-
-    # -- the learned fast tier (docs/PREDICT.md) ------------------------------
-
-    def _fast_supported(self, spec: protocol.RequestSpec, nest) -> bool:
-        """The fast tier answers only the parameter space the model was
-        trained on; anything else falls through to the exact engine."""
-        predictor = self.predictor
-        if predictor is None or not predictor.supports_depth(nest.depth):
-            return False
-        trained_loops = int(predictor.trained.get("max_loops", 2))
-        if spec.params.get("max_loops", 2) != trained_loops:
-            return False
-        if spec.params.get("include_cache", True) is False:
-            return False
-        if spec.params.get("simd"):
-            return False  # pack reports come only from the exact engine
-        return True
-
-    def _try_fast(self, spec: protocol.RequestSpec, nest,
-                  machine) -> tuple[int, dict, dict] | None:
-        """Answer from the predictor, or ``None`` to fall through to the
-        exact path (no model, unsupported request, or -- for tier=auto --
-        a prediction below the confidence floor)."""
-        if not self._fast_supported(spec, nest):
-            self.engine.metrics.count("predict.unsupported")
-            return None
-        predictor = self.predictor
-        bound = spec.params.get("bound", protocol.DEFAULT_PARAMS["bound"])
-        trip = spec.params.get("trip", protocol.DEFAULT_PARAMS["trip"])
-        with obs.span("predict.fast", nest=nest.name,
-                      model=predictor.model_id):
-            prediction = predictor.predict(nest, machine, bound=bound,
-                                           trip=trip)
-        if prediction is None:
-            self.engine.metrics.count("predict.unsupported")
-            return None
-        floor = (self.config.auto_confidence
-                 if self.config.auto_confidence is not None
-                 else predictor.confidence_floor)
-        if spec.tier == "auto" and prediction.confidence < floor:
-            self.engine.metrics.count("predict.low_confidence")
-            return None
-        self.engine.metrics.count("predict.fast_served")
-        payload = protocol.predict_payload(nest, machine, prediction)
-        if self.config.validate_fast:
-            self._enqueue_validation(spec, nest, machine, prediction)
-        return 200, payload, {}
-
-    def _enqueue_validation(self, spec: protocol.RequestSpec, nest,
-                            machine, prediction) -> None:
-        """Queue the exact computation behind the fast answer; agreement
-        lands in ``predict.validated`` / ``predict.mismatch``.  Dropped
-        (and counted) rather than queued when admission is full -- the
-        fast answer was already sent, so validation must never create
-        backpressure of its own."""
-        key = ("optimize", nest_identity(nest), machine.name,
-               spec.params_key(), None)
-        try:
-            future = self.batcher.submit("optimize", key, nest, machine,
-                                         spec.params, None)
-        except (Overloaded, RuntimeError):
-            self.engine.metrics.count("predict.validation_dropped")
-            return
-        task = asyncio.ensure_future(self._validate(future, prediction))
-        self._validations.add(task)
-        task.add_done_callback(self._validations.discard)
-
-    async def _validate(self, future, prediction) -> None:
-        try:
-            payload = await future
-        except Exception:
-            self.engine.metrics.count("predict.validation_dropped")
-            return
-        with obs.span("predict.validate", model=prediction.model_id):
-            exact = tuple(payload.get("unroll") or ())
-            self.engine.metrics.count("predict.validated")
-            if exact != prediction.unroll:
-                self.engine.metrics.count("predict.mismatch")
 
     # -- documents -----------------------------------------------------------
 
@@ -390,18 +275,8 @@ class AnalysisServer(FrontEnd):
                 "frame_content_type": protocol.CONTENT_TYPE_FRAME,
                 "frame_path": "/v2/frame",
             },
-            "tiers": {
-                "supported": (list(protocol.TIERS)
-                              if self.predictor is not None
-                              else ["exact"]),
-                "model": (self.predictor.describe()
-                          if self.predictor is not None else None),
-                "auto_confidence": (
-                    self.config.auto_confidence
-                    if self.config.auto_confidence is not None
-                    else (self.predictor.confidence_floor
-                          if self.predictor is not None else None)),
-            },
+            "tiers": {"supported": ["exact"], "model": None,
+                      "auto_confidence": None},
         }
         if self.config.shard is not None:
             doc["shard"] = self.config.shard

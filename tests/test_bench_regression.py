@@ -39,7 +39,6 @@ BASE_CLUSTER = {"cluster_throughput_rps": 800.0,
                 "merged_compute_rate": 1.0}
 BASE_COLD = {"cold_nests_per_sec": 100.0, "bound": 4.0,
              "build_tables_p95_s": 0.02}
-BASE_PREDICT = {"held_out_top1": 0.88, "fast_decisions_per_sec": 4000.0}
 BASE_REUSE = {"direct_mean_abs_error": 0.033,
               "assoc4_mean_abs_error": 0.024,
               "assoc8_mean_abs_error": 0.025}
@@ -71,11 +70,6 @@ def cluster_results(rps: float = 800.0, merged: float = 1.0) -> dict:
     return {"cluster": {"throughput_rps": rps},
             "sticky": {"merged_compute_rate": merged}}
 
-def predict_results(accuracy: float = 0.88,
-                    per_sec: float = 4000.0) -> dict:
-    return {"eval": {"accuracy": accuracy},
-            "latency": {"fast_per_sec": per_sec}}
-
 def reuse_results(direct: float = 0.033, assoc4: float = 0.024,
                   assoc8: float = 0.025) -> dict:
     return {"geometries": {
@@ -104,7 +98,6 @@ def write_tree(tmp_path: pathlib.Path, engine: dict | None,
                baselines: dict[str, dict] | None = None,
                cluster: dict | None | object = _DEFAULT,
                cold: dict | None | object = _DEFAULT,
-               predict: dict | None | object = _DEFAULT,
                reuse: dict | None | object = _DEFAULT,
                simd: dict | None | object = _DEFAULT,
                ugs: dict | None | object = _DEFAULT) -> tuple[
@@ -115,8 +108,6 @@ def write_tree(tmp_path: pathlib.Path, engine: dict | None,
         cluster = cluster_results()
     if cold is _DEFAULT:
         cold = cold_results()
-    if predict is _DEFAULT:
-        predict = predict_results()
     if reuse is _DEFAULT:
         reuse = reuse_results()
     if simd is _DEFAULT:
@@ -132,8 +123,6 @@ def write_tree(tmp_path: pathlib.Path, engine: dict | None,
             json.dumps(cluster))
     if cold is not None:
         (results / "cold_analysis.json").write_text(json.dumps(cold))
-    if predict is not None:
-        (results / "predict.json").write_text(json.dumps(predict))
     if reuse is not None:
         (results / "reuse_profile.json").write_text(json.dumps(reuse))
     if simd is not None:
@@ -151,7 +140,6 @@ DEFAULT_BASELINES = {"engine_throughput": BASE_ENGINE,
                      "serve_throughput": BASE_SERVE,
                      "cluster_throughput": BASE_CLUSTER,
                      "cold_analysis": BASE_COLD,
-                     "predict": BASE_PREDICT,
                      "reuse_profile": BASE_REUSE,
                      "simd": BASE_SIMD,
                      "ugs_cache": BASE_UGS}
@@ -215,7 +203,7 @@ class TestCheckAndUpdate:
                                         serve_results(),
                                         DEFAULT_BASELINES)
         rows, ok = regression.check(results, baselines, 0.25)
-        assert ok and len(rows) == 24
+        assert ok and len(rows) == 22
 
     def test_check_fails_on_2x_slowdown_tree(self, tmp_path):
         results, baselines = write_tree(
@@ -257,7 +245,6 @@ class TestCheckAndUpdate:
                                              "serve_throughput.json",
                                              "cluster_throughput.json",
                                              "cold_analysis.json",
-                                             "predict.json",
                                              "reuse_profile.json",
                                              "simd.json",
                                              "ugs_cache.json"}
@@ -298,18 +285,17 @@ class TestMainAndTable:
         assert table.startswith("### Benchmark regression gate")
         assert "| benchmark | metric | baseline | current | delta " \
             "| status |" in table
-        assert table.count("✅") == 24
+        assert table.count("✅") == 22
         # One data row per tracked metric, rendered as a pipe table.
         data_rows = [line for line in table.splitlines()
                      if line.startswith("| engine_throughput")
                      or line.startswith("| serve_throughput")
                      or line.startswith("| cluster_throughput")
                      or line.startswith("| cold_analysis")
-                     or line.startswith("| predict")
                      or line.startswith("| reuse_profile")
                      or line.startswith("| simd")
                      or line.startswith("| ugs_cache")]
-        assert len(data_rows) == 24
+        assert len(data_rows) == 22
         capsys.readouterr()
 
     def test_committed_baselines_are_wellformed(self):

@@ -1,5 +1,7 @@
 """Tests for the IR node layer: subscripts, expressions, nests."""
 
+import dataclasses
+
 import pytest
 
 from repro.ir.builder import NestBuilder
@@ -11,6 +13,7 @@ from repro.ir.nodes import (
     ScalarVar,
     Subscript,
     expr_flops,
+    intern_nest,
     shift_expr,
 )
 
@@ -100,6 +103,17 @@ class TestNest:
         b.loop("I", 0, 4)
         with pytest.raises(ValueError):
             b.build()
+
+class TestInterning:
+    def test_retouched_nest_stays_canonical_past_capacity(self):
+        """The intern table evicts the least recently used structure, so
+        a nest in use survives any number of one-off structures."""
+        base = simple_nest()
+        kept = intern_nest(dataclasses.replace(base, name="intern-kept"))
+        for index in range(4096):
+            intern_nest(dataclasses.replace(base, name=f"intern-{index}"))
+            twin = dataclasses.replace(base, name="intern-kept")
+            assert intern_nest(twin) is kept, index
 
 class TestBuilderIndexArithmetic:
     def test_index_addition(self):

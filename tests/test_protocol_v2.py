@@ -14,6 +14,9 @@ Three properties the data plane stands on, proved without sockets:
 * **one error schema** -- every catalogued code produces the full
   ``{ok, error: {type, code, kind, message, retryable, retry_after}}``
   document with ``type`` aliasing ``code`` for v1 clients.
+
+Also: an optimize request's ``tier`` rides as v2 header flag bits
+without touching the frozen v1 shape.
 """
 
 from __future__ import annotations
@@ -272,3 +275,80 @@ class TestErrorSchema:
         via_frame = decode_frame(encode_response_frame(doc, error=True))[1]
         via_json = json.loads(json.dumps(doc))
         assert via_frame == via_json
+
+# -- the wire: tier as v2 header flag bits ------------------------------------
+
+class TestProtocolTier:
+    def test_tierless_document_has_no_tier_anywhere(self):
+        encoded = protocol.encode_request_frame(
+            "optimize", {"nest": "jacobi"})
+        frame, doc = protocol.decode_frame(encoded)
+        assert not frame.flags & (protocol.FLAG_TIER_FAST
+                                  | protocol.FLAG_TIER_AUTO)
+        assert "tier" not in doc
+        spec, _frame = protocol.parse_frame_request(encoded)
+        assert spec.tier is None
+
+    @pytest.mark.parametrize("tier,flag", [
+        ("fast", protocol.FLAG_TIER_FAST),
+        ("auto", protocol.FLAG_TIER_AUTO),
+    ])
+    def test_fast_and_auto_ride_in_the_header(self, tier, flag):
+        encoded = protocol.encode_request_frame(
+            "optimize", {"nest": "jacobi", "tier": tier})
+        frame, doc = protocol.decode_frame(encoded)
+        assert frame.flags & flag
+        assert "tier" not in doc  # moved out of the payload...
+        spec, _frame = protocol.parse_frame_request(encoded)
+        assert spec.tier == tier  # ...and restored on parse
+
+    def test_explicit_exact_stays_a_payload_field(self):
+        encoded = protocol.encode_request_frame(
+            "optimize", {"nest": "jacobi", "tier": "exact"})
+        frame, doc = protocol.decode_frame(encoded)
+        assert not frame.flags & (protocol.FLAG_TIER_FAST
+                                  | protocol.FLAG_TIER_AUTO)
+        assert doc["tier"] == "exact"
+        spec, _frame = protocol.parse_frame_request(encoded)
+        assert spec.tier == "exact"
+
+    def test_cache_key_separates_tiers(self):
+        """A tier=fast frame's payload bytes equal the tier-less
+        frame's (the tier moved into the header), so the response cache
+        key must fold the flag bits in or fast answers would poison
+        exact ones."""
+        plain = protocol.peek_frame(protocol.encode_request_frame(
+            "optimize", {"nest": "jacobi"}))
+        fast = protocol.peek_frame(protocol.encode_request_frame(
+            "optimize", {"nest": "jacobi", "tier": "fast"}))
+        assert plain.payload_bytes == fast.payload_bytes
+        assert protocol.request_cache_key(plain) != \
+            protocol.request_cache_key(fast)
+
+    def test_both_tier_bits_is_a_bad_frame(self):
+        encoded = protocol._encode_frame(
+            protocol.FRAME_REQUEST, protocol._KIND_CODES["optimize"], 0,
+            None, {"nest": "jacobi"},
+            extra_flags=protocol.FLAG_TIER_FAST | protocol.FLAG_TIER_AUTO)
+        with pytest.raises(ProtocolError, match="both tier flag bits"):
+            protocol.parse_frame_request(encoded)
+
+    def test_tier_in_header_and_payload_is_a_bad_frame(self):
+        encoded = protocol._encode_frame(
+            protocol.FRAME_REQUEST, protocol._KIND_CODES["optimize"], 0,
+            None, {"nest": "jacobi", "tier": "fast"},
+            extra_flags=protocol.FLAG_TIER_FAST)
+        with pytest.raises(ProtocolError, match="both header flags"):
+            protocol.parse_frame_request(encoded)
+
+    def test_document_tier_validation(self):
+        with pytest.raises(ProtocolError, match="one of"):
+            protocol.spec_from_document(
+                "optimize", {"nest": "jacobi", "tier": "warp"}, "alpha")
+        with pytest.raises(ProtocolError, match="only to optimize"):
+            protocol.spec_from_document(
+                "analyze", {"nest": "jacobi", "tier": "fast"}, "alpha")
+        # An explicit exact is harmless on any verb.
+        spec = protocol.spec_from_document(
+            "analyze", {"nest": "jacobi", "tier": "exact"}, "alpha")
+        assert spec.tier == "exact"

@@ -5,7 +5,7 @@ Unit-level coverage of the chain validated end-to-end by
 :func:`~repro.machine.cache.miss_probability` model, the per-reference
 histograms of :func:`~repro.reuse.profile.reuse_profile`, the
 :class:`~repro.reuse.profile.AssocMissModel` pricing hook, and the
-engine/api/featurizer plumbing around them (docs/REUSE.md).
+engine/api plumbing around them (docs/REUSE.md).
 """
 
 import math
@@ -265,30 +265,3 @@ class TestEngineAndApi:
     def test_optimize_rejects_unknown_cache_model(self):
         with pytest.raises(ValueError):
             api.optimize(mm_jik(), machine="alpha", cache_model="magic")
-
-class TestFeaturizerV2:
-    def test_v2_extends_v1_prefix(self):
-        from repro.predict.features import feature_names, featurize
-        machine = dec_alpha()
-        names1 = feature_names(version=1)
-        names2 = feature_names(version=2)
-        assert names2[:len(names1)] == names1
-        assert len(names2) > len(names1)
-        assert any(n.startswith("rp_") for n in names2)
-        v1 = featurize(mm_jik(), machine, version=1)
-        v2 = featurize(mm_jik(), machine, version=2)
-        assert v2[:len(v1)] == v1
-        assert len(v2) == len(names2)
-
-    def test_unknown_version_rejected(self):
-        from repro.predict.features import feature_names, featurize
-        with pytest.raises(ValueError):
-            feature_names(version=3)
-        with pytest.raises(ValueError):
-            featurize(mm_jik(), dec_alpha(), version=99)
-
-    def test_default_model_still_v1(self):
-        from repro.predict import load_default_model
-        model = load_default_model()
-        assert model.feature_version == 1
-        assert model.describe()["feature_schema_version"] == 1

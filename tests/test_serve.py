@@ -5,7 +5,9 @@ shape, duplicate-request coalescing (the second identical request does
 not recompute), queue-full 429 backpressure with ``Retry-After``,
 request-size limits, per-request timeouts, structured error kinds, and
 the graceful-shutdown drain (both in-process and as a real
-``python -m repro serve`` child taking SIGTERM mid-flight).
+``python -m repro serve`` child taking SIGTERM mid-flight).  Also: every
+serving tier an older client may name is answered by the exact engine,
+and the client's 429 backoff with and without a ``Retry-After`` hint.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import http.client
 import json
 import os
 import pathlib
+import random
 import signal
 import socket
 import subprocess
@@ -646,3 +649,122 @@ class TestLoadGenerator:
         assert stats["rate_2xx"] == 1.0
         assert stats["throughput_rps"] > 0
         assert 0 < stats["latency_s"]["p50"] <= stats["latency_s"]["max"]
+
+class TestServeTiers:
+    """``tier`` still parses in both encodings (older clients send it),
+    and the exact engine answers every tier."""
+
+    def test_fast_tier_is_answered_exactly(self):
+        with _server() as handle:
+            client = JsonClient(port=handle.port)
+            status, doc = client.optimize("jacobi", tier="fast")
+            _h, health = client.healthz()
+            client.close()
+        assert status == 200 and doc["tier"] == "exact"
+        assert "confidence" not in doc
+        assert health["tiers"] == {"supported": ["exact"], "model": None,
+                                   "auto_confidence": None}
+
+    def test_exact_tier_is_echoed(self):
+        with _server() as handle:
+            client = JsonClient(port=handle.port)
+            status, doc = client.optimize("jacobi", bound=4,
+                                          tier="exact")
+            plain = client.optimize("afold", bound=4)
+            client.close()
+        assert status == 200 and doc["tier"] == "exact"
+        assert "confidence" not in doc
+        assert "tier" not in plain[1]  # tier-less stays frozen-v1 shaped
+
+    def test_every_tier_and_transport_gives_one_answer(self):
+        answers = {}
+        with _server() as handle:
+            for transport in ("json", "binary"):
+                client = Client(port=handle.port, transport=transport,
+                                max_retries=0)
+                for tier in ("fast", "auto", "exact"):
+                    status, doc = client.optimize("jacobi", tier=tier)
+                    assert status == 200 and doc["tier"] == "exact", \
+                        (transport, tier, doc)
+                    answers[transport, tier] = (
+                        doc["unroll"], doc["balance"], doc["candidates"])
+                client.close()
+        assert len(answers) == 6
+        assert all(answer == answers["json", "exact"]
+                   for answer in answers.values()), answers
+
+# -- client 429 backoff -------------------------------------------------------
+
+class _Scripted429Client(Client):
+    """A Client whose transport is a canned status script -- isolates
+    the retry/backoff loop in ``call`` from any socket."""
+
+    def __init__(self, statuses: list[int], headers: dict | None = None,
+                 **kwargs):
+        super().__init__(port=1, **kwargs)
+        self._script = list(statuses)
+        self._canned_headers = dict(headers or {})
+
+    def _call_once(self, kind, nest, machine, params):
+        self.last_headers = dict(self._canned_headers)
+        status = self._script.pop(0) if self._script else 200
+        return status, {"ok": status == 200, "status": status}
+
+@pytest.fixture()
+def record_sleep(monkeypatch):
+    slept: list[float] = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    monkeypatch.setattr(random, "random", lambda: 1.0)  # jitter -> 1.0x
+    return slept
+
+class TestClientBackoff:
+    def test_default_backoff_without_retry_after(self, record_sleep):
+        """No Retry-After header: capped exponential from
+        ``backoff_base_s``, doubling per retry."""
+        client = _Scripted429Client([429, 429, 429, 200],
+                                    backoff_base_s=0.05,
+                                    backoff_cap_s=2.0)
+        status, doc = client.optimize("jacobi")
+        assert status == 200 and doc["ok"]
+        assert client.last_retries == 3
+        assert record_sleep == pytest.approx([0.05, 0.10, 0.20])
+
+    def test_default_backoff_hits_the_cap(self, record_sleep):
+        client = _Scripted429Client([429] * 4 + [200],
+                                    backoff_base_s=0.6,
+                                    backoff_cap_s=1.0)
+        status, _doc = client.optimize("jacobi")
+        assert status == 200
+        # 0.6, 1.2->cap, 2.4->cap, 4.8->cap
+        assert record_sleep == pytest.approx([0.6, 1.0, 1.0, 1.0])
+
+    def test_retry_after_hint_wins(self, record_sleep):
+        client = _Scripted429Client([429, 429, 200],
+                                    headers={"retry-after": "0.25"},
+                                    backoff_base_s=0.05)
+        status, _doc = client.optimize("jacobi")
+        assert status == 200
+        assert record_sleep == pytest.approx([0.25, 0.25])
+
+    def test_retry_after_hint_is_capped_too(self, record_sleep):
+        client = _Scripted429Client([429, 200],
+                                    headers={"retry-after": "30"},
+                                    backoff_cap_s=2.0)
+        status, _doc = client.optimize("jacobi")
+        assert status == 200
+        assert record_sleep == pytest.approx([2.0])
+
+    def test_jitter_spans_half_to_full(self, monkeypatch):
+        slept: list[float] = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        monkeypatch.setattr(random, "random", lambda: 0.0)
+        client = _Scripted429Client([429, 200], backoff_base_s=0.2)
+        client.optimize("jacobi")
+        assert slept == pytest.approx([0.1])  # 0.2 * (0.5 + 0.5*0)
+
+    def test_retry_budget_exhausts(self, record_sleep):
+        client = _Scripted429Client([429] * 10, max_retries=2)
+        status, doc = client.optimize("jacobi")
+        assert status == 429 and not doc["ok"]
+        assert client.last_retries == 2
+        assert len(record_sleep) == 2
