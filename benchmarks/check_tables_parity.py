@@ -20,6 +20,14 @@ bounds their keyed tables must equal the union-find tables, and every
 box point of at most 25 vectors must equal the brute-force measurement
 of :func:`repro.baselines.brute_force.measure_unrolled`.
 
+The decision pass ranks the search box of every input at bounds 4 and 8
+on every preset machine: the integer keys of
+:class:`repro.unroll.optimize.BoxRanking` must sort the register-feasible
+vectors in the order of the Fraction scan :func:`reference_search`
+(``tests/reference.py``), the decision must be the first of them, and
+its objective must equal :func:`repro.balance.objective` at the chosen
+point.
+
     python benchmarks/check_tables_parity.py
 
 Prints the number of sets checked and exits 1 on any mismatch.  perfbench
@@ -41,10 +49,19 @@ for _path in (_REPO, _REPO / "src", _REPO / "perfbench"):
 
 from common import DEFAULT_SEED, MAX_LOOPS, TRIP, workload_nests  # noqa: E402
 
+from repro.balance import objective  # noqa: E402
 from repro.baselines.brute_force import measure_unrolled  # noqa: E402
 from repro.dependence.graph import build_dependence_graph  # noqa: E402
+from repro.engine import AnalysisEngine  # noqa: E402
 from repro.ir.parser import parse_nest  # noqa: E402
-from repro.machine.presets import dec_alpha  # noqa: E402
+from repro.machine.presets import (  # noqa: E402
+    dec_alpha,
+    future_wide,
+    generous_register_machine,
+    hp_pa_risc,
+    mips_r10k,
+    prefetching_machine,
+)
 from repro.reuse.locality import (  # noqa: E402
     innermost_localized_space,
     loop_locality_scores,
@@ -52,11 +69,14 @@ from repro.reuse.locality import (  # noqa: E402
     self_reuse_base,
 )
 from repro.reuse.ugs import partition_ugs  # noqa: E402
-from repro.unroll.optimize import select_candidate_loops  # noqa: E402
+from repro.unroll.optimize import (  # noqa: E402
+    BoxRanking,
+    select_candidate_loops,
+)
 from repro.unroll.safety import safe_unroll_bounds  # noqa: E402
 from repro.unroll.space import UnrollSpace  # noqa: E402
 from repro.unroll.tables import build_tables  # noqa: E402
-from tests.reference import counted_tables  # noqa: E402
+from tests.reference import counted_tables, reference_search  # noqa: E402
 
 INPUTS = 1740
 SLICE = 200
@@ -136,6 +156,27 @@ def measured_mismatches(nest, space: UnrollSpace, line: int) -> list[str]:
                              f"{getattr(want, name)}")
     return wrong
 
+def decision_mismatches(engine: AnalysisEngine, nest, machine,
+                        bound: int) -> list[str]:
+    """What differs between the integer ranking and the Fraction scan of
+    one nest's search box on one machine."""
+    result = engine.optimize(nest, machine, bound=bound)
+    ranking = BoxRanking(result.tables, machine)
+    have = [u for *_, u in sorted(ranking.keys())]
+    want = [u for *_, u in sorted(reference_search(ranking))]
+    wrong = []
+    if have != want:
+        wrong.append(f"{nest.name} {machine.name}: ranked {have[:3]}... "
+                     f"vs Fraction {want[:3]}...")
+    if want and result.unroll != want[0]:
+        wrong.append(f"{nest.name} {machine.name}: chose {result.unroll} "
+                     f"vs Fraction {want[0]}")
+    point = result.tables.point(result.unroll)
+    if result.objective != objective(point, machine):
+        wrong.append(f"{nest.name} {machine.name}: objective "
+                     f"{result.objective} vs {objective(point, machine)}")
+    return wrong
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -185,6 +226,25 @@ def main(argv: list[str] | None = None) -> int:
             failed = failed or bool(wrong)
     print(f"hand-built: {checked} sets of {len(HAND_BUILT)} inputs checked "
           f"at bounds 4 and 8 in {time.monotonic() - started:.1f}s")
+
+    started = time.monotonic()
+    machines = (dec_alpha(), hp_pa_risc(), prefetching_machine(),
+                generous_register_machine(), mips_r10k(), future_wide(),
+                dec_alpha().with_registers(8))
+    engine = AnalysisEngine()
+    checked = 0
+    for key in sorted(nests):
+        for bound in (4, 8):
+            for machine in machines:
+                wrong = decision_mismatches(engine, nests[key], machine,
+                                            bound)
+                checked += 1
+                for what in wrong:
+                    print(f"MISMATCH bound {bound} input {key}: {what}")
+                failed = failed or bool(wrong)
+    print(f"decisions: {checked} searches ({len(nests)} inputs, bounds 4 "
+          f"and 8, {len(machines)} machines) checked "
+          f"in {time.monotonic() - started:.1f}s")
     print("tables parity:", "FAIL" if failed else "PASS")
     return 1 if failed else 0
 

@@ -31,6 +31,13 @@ class MissModel(Protocol):
     def misses(self, point: "UnrollPoint") -> Fraction:
         ...
 
+    def scaled_misses(self, memory_ops: list[int], cost: list[int],
+                      denominator: int) -> tuple[list[int], int]:
+        """:meth:`misses` at every box point in integers: given memory
+        ops and the Equation-1 charge ``cost[i] / denominator`` per point,
+        a column and its denominator."""
+        ...
+
 @dataclass(frozen=True)
 class BalanceBreakdown:
     """Loop balance plus the intermediate terms, for reporting."""
@@ -81,13 +88,6 @@ def loop_balance(point: "UnrollPoint", machine: MachineModel,
     balance = (memory_ops + miss_term) / flops
     return BalanceBreakdown(memory_ops, flops, misses, cycles, unserviced,
                             miss_term, balance)
-
-def miss_cycles(breakdown: BalanceBreakdown,
-                machine: MachineModel) -> Fraction:
-    """Cycle charge of the unserviced misses: the additive term the
-    vectorized objective (:mod:`repro.simd.cost`) shares with the scalar
-    estimate -- packing changes issue pressure, not the footprint."""
-    return breakdown.unserviced * machine.miss_penalty
 
 def objective(point: "UnrollPoint", machine: MachineModel,
               include_cache: bool = True,

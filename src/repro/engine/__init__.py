@@ -295,7 +295,7 @@ class AnalysisEngine:
 
         key = (nest.structural_key(), space.dims, space.bounds, line_size,
                trip)
-        return _rebind_tables(self._tables.get_or_build(key, build), nest)
+        return self._tables.get_or_build(key, build).rebind(nest)
 
     # -- the end-to-end decision --------------------------------------------
 
@@ -674,20 +674,6 @@ def _fan_item(rep: BatchItem, index: int, nest: LoopNest) -> BatchItem:
         result = replace(result, nest=nest)
     return BatchItem(index=index, name=nest.name, ok=rep.ok, result=result,
                      error=rep.error, duration_s=0.0)
-
-def _rebind_tables(tables: UnrollTables, nest: LoopNest) -> UnrollTables:
-    """Serve cached tables under the caller's nest object.
-
-    The cached entry may belong to a structurally identical twin (renamed
-    loop variables, different nest name); every numeric table is shared,
-    only the ``nest`` the result reports is swapped.
-    """
-    if tables.nest is nest:
-        return tables
-    rebound = UnrollTables(nest, tables.space, tables.line_size, tables.trip,
-                           tables.per_ugs)
-    rebound._points = tables._points  # share the point memo too
-    return rebound
 
 # -- worker-process plumbing -------------------------------------------------
 

@@ -235,6 +235,15 @@ class AssocMissModel:
         would_hit = max(point.memory_ops - eq1, Fraction(0))
         return eq1 + would_hit * self.conflict
 
+    def scaled_misses(self, memory_ops: list[int], cost: list[int],
+                      denominator: int) -> tuple[list[int], int]:
+        """:meth:`misses` at every box point of the search, in integers:
+        ``eq1 + max(M - eq1, 0) * conflict`` over ``denominator`` times
+        the conflict's denominator."""
+        k, scale = self.conflict.numerator, self.conflict.denominator
+        return ([c * scale + max(m * denominator - c, 0) * k
+                 for m, c in zip(memory_ops, cost)], denominator * scale)
+
 def _delay_of(vector: Sequence[Fraction | float], trip: int,
               depth: int) -> float:
     """Innermost iterations elapsed over an iteration-space motion: the

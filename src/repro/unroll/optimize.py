@@ -12,10 +12,12 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
-from repro.balance import loop_balance, objective
-from repro.balance.loop_balance import BalanceBreakdown
+from repro.balance import loop_balance
+from repro.balance.loop_balance import BalanceBreakdown, MissModel
 from repro.dependence.graph import DependenceGraph, build_dependence_graph
 from repro.ir.nodes import LoopNest
 from repro.machine.model import MachineModel
@@ -27,23 +29,36 @@ from repro.unroll.space import (
     UnrollSpace,
     UnrollVector,
     body_copies,
-    dominates,
+    box_copies,
+    box_tuple,
 )
 from repro.unroll.tables import UnrollTables, build_tables
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of the unroll search for one nest."""
+    """Outcome of the unroll search for one nest.
+
+    ``objective`` comes from the search's integers; the balance terms
+    (:attr:`breakdown`, :attr:`balance`) are computed from the tables at
+    the chosen vector when first read.
+    """
 
     nest: LoopNest
     unroll: UnrollVector
-    breakdown: BalanceBreakdown
     objective: Fraction
     feasible: bool  # register constraint satisfied at the chosen vector
     space: UnrollSpace
     tables: UnrollTables
     safety: tuple[int, ...]
     candidates: tuple[int, ...]  # loop levels considered for unrolling
+    machine: MachineModel
+    include_cache: bool
+    miss_model: MissModel | None  # None charges Equation 1
+
+    @cached_property
+    def breakdown(self) -> BalanceBreakdown:
+        return loop_balance(self.tables.point(self.unroll), self.machine,
+                            self.include_cache, self.miss_model)
 
     @property
     def balance(self) -> Fraction:
@@ -69,50 +84,167 @@ def select_candidate_loops(nest: LoopNest, safety: tuple[int, ...],
     chosen = ranked[:max_loops]
     return tuple(sorted(chosen))
 
-def _feasible(tables: UnrollTables, machine: MachineModel,
-              include_cache: bool, miss_model,
-              ) -> Iterator[tuple[tuple, UnrollVector]]:
-    """``(key, u)`` for every register-feasible vector of the box, where
-    ``key`` orders by the balance objective, then fewer body copies, then
-    lexicographic order.
+@lru_cache(maxsize=1024)
+def _rows(sizes: tuple[int, ...]
+          ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], int]:
+    """The rows of the row-major box of ``sizes`` (a row fixes every
+    coordinate but the last) and their length.  A row is its first index
+    and the rows one step below it along each leading coordinate."""
+    *head, last = sizes or (1,)
+    strides, step = [], 1
+    for size in reversed(head):
+        strides.append(step)
+        step *= size
+    strides.reverse()
+    rows = tuple((h * last, tuple(h - s for x, s in zip(p, strides) if x))
+                 for h, p in enumerate(box_tuple(tuple(head))))
+    return rows, last
 
-    The scan skips every vector that componentwise dominates an
-    already-infeasible one: register pressure is monotone non-decreasing
-    in the unroll vector, so a dominated point would fail its register
-    check anyway.
+@lru_cache(maxsize=1024)
+def _multipliers(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """``lcm(copies) // copies`` at every point of the box of ``sizes``."""
+    copies = box_copies(sizes)
+    common = lcm(*copies)
+    return tuple(common // c for c in copies)
+
+class BoxRanking:
+    """The balance objective of section 3.3 over the box of ``tables``,
+    in exact integers (docs/ALGORITHM.md §5).
+
+    The machine's rationals and the aggregate's cost denominator are
+    folded once into integer weights, so at box point i
+
+        beta_L - beta_M = num_i / (F_i * x),
+        num_i = M_i * x + U_i * y - F_i * z,
+
+    with ``U_i`` the unserviced misses over one common denominator and
+    ``x > 0`` fixed for the search.  :meth:`keys` ranks by ``|num_i| / F_i``
+    scaled by ``lcm(F)``, an integer: the keys order the box exactly as
+    the Fraction keys ``(objective, body copies, u)`` would.
     """
-    space = tables.space
-    infeasible: list[tuple[int, ...]] = []
-    for reduced in space.reduced_box():
-        if infeasible and any(dominates(reduced, floor)
-                              for floor in infeasible):
-            continue
-        u = space.embed(reduced)
-        point = tables.point(u)
-        if point.registers > machine.registers:
-            infeasible.append(reduced)
-            continue
-        yield (objective(point, machine, include_cache, miss_model),
-               body_copies(u), u), u
 
-def search_space(tables: UnrollTables, machine: MachineModel,
+    def __init__(self, tables: UnrollTables, machine: MachineModel,
                  include_cache: bool = True,
-                 miss_model=None) -> tuple[UnrollVector, bool]:
+                 miss_model: MissModel | None = None):
+        self.tables = tables
+        self.machine = machine
+        self.include_cache = include_cache
+        self.miss_model = miss_model
+        agg = self._agg = tables.aggregate
+        mem, fp = machine.mem_issue, machine.fp_issue
+        self._sizes = tuple(b + 1 for b in tables.space.bounds)
+        # loop balance divides by max(flops, 1); flops is base * copies
+        if agg.flops[0]:
+            self._flops, self._mult = agg.flops, _multipliers(self._sizes)
+        else:
+            self._flops = self._mult = (1,) * len(agg.flops)
+        # misses at point i: misses[i] / den
+        if not include_cache:
+            misses, den = None, 1
+        elif miss_model is None:
+            misses, den = agg.cost, agg.denominator
+        else:
+            misses, den = miss_model.scaled_misses(
+                agg.memory_ops, agg.cost, agg.denominator)
+        # the prefetches p * c_i, where q * c_i is the max of M_i * a,
+        # F_i * b and q, are charge * (q * c_i) over lcm(den, p_den * q)
+        self._cycles = None
+        prefetch = machine.prefetch_bandwidth
+        if misses is not None and prefetch:
+            q = lcm(mem.numerator, fp.numerator)
+            unit = lcm(den, prefetch.denominator * q)
+            misses = [m * (unit // den) for m in misses]
+            den = unit
+            self._cycles = (mem.denominator * (q // mem.numerator),
+                            fp.denominator * (q // fp.numerator), q,
+                            prefetch.numerator
+                            * (unit // (prefetch.denominator * q)))
+        self._misses, self._den = misses, den
+        # beta_M = mem_issue / fp_issue and the miss cost ratio
+        # miss_penalty / cache_access, left unreduced: g reduces the weights
+        beta_num = mem.numerator * fp.denominator
+        beta_den = mem.denominator * fp.numerator
+        x = beta_den * den * machine.cache_access
+        y = beta_den * machine.miss_penalty
+        z = beta_num * den * machine.cache_access
+        g = gcd(x, y, z)
+        self._x, self._y, self._z = x // g, y // g, z // g
+
+    def _terms(self, i: int) -> tuple[int, int]:
+        """``(num_i, U_i)`` at box index ``i``."""
+        memory_ops, flops = self._agg.memory_ops[i], self._flops[i]
+        unserviced = 0
+        if self._misses is not None:
+            unserviced = self._misses[i]
+            if self._cycles is not None:
+                a, b, q, charge = self._cycles
+                unserviced -= charge * max(memory_ops * a, flops * b, q)
+            if unserviced < 0:
+                unserviced = 0
+        return (memory_ops * self._x + unserviced * self._y
+                - flops * self._z, unserviced)
+
+    def _index(self, u: UnrollVector) -> int:
+        return sum(u[dim] * stride for dim, stride
+                   in zip(self.tables.space.dims, self._agg.strides))
+
+    def keys(self) -> Iterator[tuple[int, int, UnrollVector]]:
+        """``(objective * lcm(F) * x, body copies, u)`` for every
+        register-feasible vector of the box.
+
+        The scan skips every vector that componentwise dominates an
+        already-infeasible one: register pressure is monotone
+        non-decreasing in the unroll vector, so a dominated point would
+        fail its register check anyway.  Row by row, the skipped points
+        of a row are those at or past the least stop of the rows one
+        step below it and of its own first infeasible point.
+        """
+        agg = self._agg
+        registers, limit = agg.registers, self.machine.registers
+        copies, mult = agg.copies, self._mult
+        vectors = self.tables.space.vectors()
+        rows, last = _rows(self._sizes)
+        stops: list[int] = []
+        for start, below in rows:
+            stop = min([stops[b] for b in below], default=last)
+            for i in range(start, start + stop):
+                if registers[i] > limit:
+                    stop = i - start
+                    break
+                num, _ = self._terms(i)
+                yield abs(num) * mult[i], copies[i], vectors[i]
+            stops.append(stop)
+
+    def objective(self, u: UnrollVector) -> Fraction:
+        """``|beta_L - beta_M|`` at ``u``."""
+        i = self._index(u)
+        num, _ = self._terms(i)
+        return Fraction(abs(num), self._flops[i] * self._x)
+
+    def miss_cycles(self, u: UnrollVector) -> Fraction:
+        """The cycle charge of the unserviced misses at ``u``: the term
+        the vectorized estimate (:mod:`repro.simd.cost`) shares with the
+        scalar one -- packing changes issue pressure, not the
+        footprint."""
+        _, unserviced = self._terms(self._index(u))
+        return Fraction(unserviced * self.machine.miss_penalty, self._den)
+
+def search_space(ranking: BoxRanking) -> tuple[UnrollVector, bool]:
     """Exhaustive search of the (precomputed) table for the best vector.
 
     Prefers register-feasible vectors; among those, minimizes the balance
     objective, breaking ties toward fewer body copies then lexicographic
     order.  Falls back to the no-unroll vector when nothing is feasible.
 
-    ``miss_model`` (e.g. :class:`repro.reuse.profile.AssocMissModel`)
-    swaps the binary Equation-1 miss charge in the objective for a
-    set-associative estimate; ``None`` keeps the paper's ranking exactly.
+    The ranking's ``miss_model`` (e.g.
+    :class:`repro.reuse.profile.AssocMissModel`) swaps the binary
+    Equation-1 miss charge in the objective for a set-associative
+    estimate; ``None`` keeps the paper's ranking exactly.
     """
-    best = min(_feasible(tables, machine, include_cache, miss_model),
-               default=None)
+    best = min(ranking.keys(), default=None)
     if best is None:
-        return tuple(0 for _ in range(tables.nest.depth)), False
-    return best[1], True
+        return tuple(0 for _ in range(ranking.tables.nest.depth)), False
+    return best[2], True
 
 #: Vectorized search evaluates the full jam -> pack -> cost chain on at
 #: most this many scalar-ranked feasible points (plus no-unroll): packing
@@ -120,34 +252,32 @@ def search_space(tables: UnrollTables, machine: MachineModel,
 #: objective is an excellent proposal distribution for it.
 SIMD_BEAM = 8
 
-def search_space_vectorized(tables: UnrollTables, machine: MachineModel,
-                            include_cache: bool = True,
-                            miss_model=None, *,
-                            estimator: Callable[[UnrollVector], object],
+def search_space_vectorized(ranking: BoxRanking, *,
+                            estimator: Callable[[UnrollVector, Fraction],
+                                                object],
                             beam: int = SIMD_BEAM,
                             ) -> tuple[UnrollVector, bool]:
     """The opt-in ``vectorize=True`` search: rank register-feasible
     vectors by the scalar objective, then re-rank the top ``beam`` (plus
     the no-unroll vector) by the lane cost model's vectorized cycles per
-    original iteration.  ``estimator`` maps an unroll vector to a
-    :class:`repro.simd.cost.VectorEstimate`; ties fall back to the
-    scalar key, so a machine whose packs never help chooses exactly the
-    scalar vector.
+    original iteration.  ``estimator`` maps an unroll vector and its
+    unserviced-miss cycles to a :class:`repro.simd.cost.VectorEstimate`;
+    ties fall back to the scalar rank, so a machine whose packs never
+    help chooses exactly the scalar vector.
     """
-    ranked = sorted(_feasible(tables, machine, include_cache, miss_model))
+    ranked = [u for *_, u in sorted(ranking.keys())]
+    zero = tuple(0 for _ in range(ranking.tables.nest.depth))
     if not ranked:
-        return tuple(0 for _ in range(tables.nest.depth)), False
-    shortlist = [u for _, u in ranked[:beam]]
-    zero = tuple(0 for _ in range(tables.nest.depth))
-    if zero not in shortlist and any(u == zero for _, u in ranked):
+        return zero, False
+    shortlist = ranked[:beam]
+    if zero not in shortlist and zero in ranked:
         shortlist.append(zero)
-    scalar_key = dict((u, key) for key, u in ranked)
     best_u: UnrollVector | None = None
     best_key: tuple | None = None
     for u in shortlist:
-        estimate = estimator(u)
+        estimate = estimator(u, ranking.miss_cycles(u))
         key = (Fraction(estimate.vector_cycles) / body_copies(u),
-               scalar_key[u])
+               ranked.index(u))
         if best_key is None or key < best_key:
             best_key, best_u = key, u
     assert best_u is not None
@@ -214,33 +344,30 @@ def choose_unroll(nest: LoopNest, machine: MachineModel,
         tables = build_tables(nest, space, line_size=line_size, trip=trip,
                               ugs=list(ugs) if ugs is not None else None)
     with stage("search"):
+        ranking = BoxRanking(tables, machine, include_cache, miss_model)
         if vectorize and machine.vector_width_words > 1:
-            from repro.balance.loop_balance import miss_cycles
             from repro.simd import vectorize_jammed
             from repro.unroll.transform import unroll_and_jam
 
-            def estimator(u: UnrollVector):
-                point = tables.point(u)
-                b = loop_balance(point, machine, include_cache, miss_model)
+            def estimator(u: UnrollVector, miss_cycles: Fraction):
                 return vectorize_jammed(unroll_and_jam(nest, u), machine,
-                                        miss_cycles(b, machine)).estimate
+                                        miss_cycles).estimate
 
-            chosen, feasible = search_space_vectorized(
-                tables, machine, include_cache, miss_model=miss_model,
-                estimator=estimator)
+            chosen, feasible = search_space_vectorized(ranking,
+                                                       estimator=estimator)
         else:
-            chosen, feasible = search_space(tables, machine, include_cache,
-                                            miss_model=miss_model)
-        point = tables.point(chosen)
-        breakdown = loop_balance(point, machine, include_cache, miss_model)
+            chosen, feasible = search_space(ranking)
+        objective = ranking.objective(chosen)
     return OptimizationResult(
         nest=nest,
         unroll=chosen,
-        breakdown=breakdown,
-        objective=abs(breakdown.balance - machine.balance),
+        objective=objective,
         feasible=feasible,
         space=space,
         tables=tables,
         safety=safety,
         candidates=candidates,
+        machine=machine,
+        include_cache=include_cache,
+        miss_model=miss_model,
     )

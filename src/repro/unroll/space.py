@@ -83,14 +83,12 @@ class UnrollSpace:
 
     def __iter__(self) -> Iterator[UnrollVector]:
         """All unroll vectors of the box, lexicographic order."""
-        # Fast path over repeated embed(): write each reduced point into a
-        # reusable full-depth template (the length check is loop-invariant).
-        template = [0] * self.depth
-        dims = self.dims
-        for reduced in box_tuple(tuple(b + 1 for b in self.bounds)):
-            for dim, value in zip(dims, reduced):
-                template[dim] = value
-            yield tuple(template)
+        return iter(self.vectors())
+
+    def vectors(self) -> tuple[UnrollVector, ...]:
+        """All unroll vectors of the box (cached, in the row-major order of
+        :meth:`reduced_box`)."""
+        return _box_vectors(self.depth, self.dims, self.bounds)
 
     def reduced_box(self) -> tuple[tuple[int, ...], ...]:
         """All reduced points of the box (cached, lexicographic order)."""
@@ -118,6 +116,26 @@ def box_tuple(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     shape) removes the repeated product() construction.
     """
     return tuple(product(*(range(size) for size in sizes)))
+
+@lru_cache(maxsize=4096)
+def box_copies(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`body_copies` at every point of the box of ``sizes``,
+    row-major."""
+    column = (1,)
+    for size in sizes:
+        column = tuple(c * k for c in column for k in range(1, size + 1))
+    return column
+
+@lru_cache(maxsize=4096)
+def _box_vectors(depth: int, dims: tuple[int, ...],
+                 bounds: tuple[int, ...]) -> tuple[UnrollVector, ...]:
+    template = [0] * depth
+    vectors = []
+    for reduced in box_tuple(tuple(b + 1 for b in bounds)):
+        for dim, value in zip(dims, reduced):
+            template[dim] = value
+        vectors.append(tuple(template))
+    return tuple(vectors)
 
 def offsets_box(u: UnrollVector, dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All copy offsets over the given dims: the box 0..u[d] per dim."""

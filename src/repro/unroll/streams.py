@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.linalg import Matrix, VectorSpace, siv
 from repro.linalg.matrix import int_fraction
@@ -316,13 +316,6 @@ def _close_chain(nodes: list[tuple[int, tuple[int, ...]]],
 # the proof that the classes are the union-find components are in
 # docs/ALGORITHM.md.
 
-def _copies(u: UnrollVector, dims: tuple[int, ...]) -> int:
-    """Copies of one reference along ``dims`` at unroll u."""
-    copies = 1
-    for d in dims:
-        copies *= u[d] + 1
-    return copies
-
 def touch_insert(chain: list[int], touch: int, unit: int) -> tuple[int, int]:
     """Insert a copy's touch key into the sorted keys of its stream class,
     which holds at least one copy already.
@@ -435,9 +428,22 @@ def _cell_offsets(sizes: tuple[int, ...], strides) -> list[int]:
         offsets = [o + stride * x for o in offsets for x in range(size)]
     return offsets
 
+#: The four count columns of one set over the box of an unroll space,
+#: row-major: GTS, GSS, memory ops (RRS) and registers.
+CountColumns = tuple[list[int], list[int], list[int], list[int]]
+
+def _copies_column(space: UnrollSpace, dims: tuple[int, ...]) -> list[int]:
+    """The copies of one reference along ``dims``, ``prod(u[d] + 1)``, at
+    every point ``u`` of the box of ``space``, row-major."""
+    column = [1]
+    for dim, bound in zip(space.dims, space.bounds):
+        steps = range(1, bound + 2) if dim in dims else (1,) * (bound + 1)
+        column = [c * k for c in column for k in steps]
+    return column
+
 def _one_member(ugs: UniformlyGeneratedSet, space: UnrollSpace,
                 axes: tuple[int, ...], line_size: int | None,
-                ) -> Callable[[UnrollVector], tuple[int, ...]]:
+                ) -> CountColumns:
     """The keyed counts of a one-member set, in closed form.
 
     Every used dim moves the row it drives, and the innermost loop is
@@ -461,23 +467,19 @@ def _one_member(ugs: UniformlyGeneratedSet, space: UnrollSpace,
     hoisted = all(entry is None or entry[0] != matrix.ncols - 1
                   for entry in rows)
     write = ugs.members[0].is_write and not hoisted
-    dims = space.dims
-
-    def count(u: UnrollVector) -> tuple[int, ...]:
-        cells = _copies(u, reduced)
-        g_s = _copies(u, pinned) * (u[word_col] + 1 if apart else 1)
-        chains = _copies(u, dims) if write else cells
-        return cells, g_s, 0 if hoisted else chains, chains
-
-    return count
+    cells = _copies_column(space, reduced)
+    g_s = _copies_column(space, pinned + (word_col,) if apart else pinned)
+    chains = _copies_column(space, space.dims) if write else cells
+    return cells, g_s, [0] * len(cells) if hoisted else chains, chains
 
 def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
                  localized: VectorSpace, line_size: int | None,
-                 ) -> Callable[[UnrollVector], tuple[int, ...]]:
-    """``u -> (GTS, GSS, memory ops, registers)`` over the box of ``space``:
-    the union-find lattice counts (register L = the innermost loop) from
-    keyed location classes.  ``localized`` must be spanned by axes
-    (``ValueError`` otherwise).
+                 ) -> CountColumns:
+    """The GTS, GSS, memory-op and register columns over the box of
+    ``space`` (row-major, as :class:`repro.unroll.tables.OffsetTable`
+    stores them): the union-find lattice counts (register L = the
+    innermost loop) from keyed location classes.  ``localized`` must be
+    spanned by axes (``ValueError`` otherwise).
 
     Outside the SIV class (§3.5) no copies merge: every copy is its own
     group over the dims H uses (its spatial H for GSS), and its own chain
@@ -497,15 +499,12 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
                          "axes")
     if matrix.siv_rows() is None:
         size, dims = ugs.size, space.dims
-        temporal_dims = used_dims(matrix, dims)
-        spatial_dims = used_dims(matrix, dims, spatial=True)
-
-        def conservative(u: UnrollVector) -> tuple[int, ...]:
-            every = size * _copies(u, dims)
-            return (size * _copies(u, temporal_dims),
-                    size * _copies(u, spatial_dims), every, every)
-
-        return conservative
+        every = [size * c for c in _copies_column(space, dims)]
+        return ([size * c for c in _copies_column(
+                    space, used_dims(matrix, dims))],
+                [size * c for c in _copies_column(
+                    space, used_dims(matrix, dims, spatial=True))],
+                every, every)
     if ugs.size == 1:
         return _one_member(ugs, space, axes, line_size)
     keys = copy_keys(ugs, space, axes)
@@ -574,17 +573,16 @@ def keyed_counts(ugs: UniformlyGeneratedSet, space: UnrollSpace,
                                  0 if keys.hoisted else leads,
                                  leads + spans // keys.scale)
 
-    at_cell = list(zip(keys.reduced, strides))
-    defs = keys.defs
-
-    def count(u: UnrollVector) -> tuple[int, ...]:
-        g_t, g_s, mem, reg = values[sum(u[d] * s for d, s in at_cell)]
-        # every copy of a definition, textually identical ones along the
-        # unused dims included, writes through and opens a chain
-        writes = defs * _copies(u, space.dims)
-        return g_t, g_s, mem + writes, reg + writes
-
-    return count
+    # every copy of a definition, textually identical ones along the
+    # unused dims included, writes through and opens a chain
+    stride_of = dict(zip(keys.reduced, strides))
+    cells = _cell_offsets(tuple(b + 1 for b in space.bounds),
+                          [stride_of.get(d, 0) for d in space.dims])
+    writes = [keys.defs * c for c in _copies_column(space, space.dims)]
+    g_t, g_s, mem, reg = zip(*values)
+    return ([g_t[c] for c in cells], [g_s[c] for c in cells],
+            [mem[c] + w for c, w in zip(cells, writes)],
+            [reg[c] + w for c, w in zip(cells, writes)])
 
 def is_analyzable(ugs: UniformlyGeneratedSet) -> bool:
     """True when H has at most one non-zero per row and column (§3.5);

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable
 
 from repro.ir.nodes import LoopNest
 from repro.linalg import VectorSpace
 from repro.linalg.matrix import int_fraction
 from repro.reuse.locality import innermost_localized_space, self_reuse_base
 from repro.reuse.ugs import UniformlyGeneratedSet, partition_ugs
-from repro.unroll.space import UnrollSpace, UnrollVector, body_copies
+from repro.unroll.space import UnrollSpace, UnrollVector, box_copies
 from repro.unroll.streams import keyed_counts
 
 def _row_major_strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -62,21 +61,6 @@ class OffsetTable:
         self.counts = counts
         self._sizes = sizes
         self._strides = _row_major_strides(sizes)
-
-    @staticmethod
-    def from_counts_multi(space: UnrollSpace,
-                          count: Callable[[UnrollVector], tuple],
-                          width: int) -> list["OffsetTable"]:
-        """Evaluate a tuple-valued count once at every box point into
-        ``width`` tables, one per component -- this is how the four
-        tables of a set share one stream-chain computation per point."""
-        rows = [count(u) for u in space]
-        columns = [list(column) for column in zip(*rows)]
-        if len(columns) != width:
-            raise ValueError(f"count yields {len(columns)} values, "
-                             f"expected {width}")
-        return [OffsetTable(space.dims, space.bounds, column)
-                for column in columns]
 
     def box_sum(self, reduced: tuple[int, ...]) -> int:
         """The paper's Sum (Figure 2) at ``reduced``: an index into the
@@ -118,25 +102,33 @@ class UnrollPoint:
     cache_cost: Fraction  # main-memory accesses per unrolled iteration
 
 @dataclass(frozen=True)
-class _Aggregate:
+class Aggregate:
     """Whole-nest int columns over the box, row-major by ``strides``:
-    memory ops, registers, g_T, g_S, and the cache cost times
-    ``denominator``."""
+    body copies, flops, memory ops, registers, g_T, g_S, and the cache
+    cost times ``denominator``."""
 
     strides: tuple[int, ...]
-    sums: list[list[int]]
+    copies: tuple[int, ...]
+    flops: list[int]
+    memory_ops: list[int]
+    registers: list[int]
+    gts: list[int]
+    gss: list[int]
+    cost: list[int]
     denominator: int
 
 class UnrollTables:
     """Precomputed model of a nest over an unroll space (section 4).
 
     Build once with :func:`build_tables`; every query is then a table
-    lookup.  ``point(u)`` aggregates the per-UGS tables into the quantities
-    the balance objective needs.
+    lookup.  :attr:`aggregate` sums the per-UGS tables into the int
+    columns the search ranks (:class:`repro.unroll.optimize.BoxRanking`);
+    ``point(u)`` reads them as the quantities of one unroll vector.
     """
 
     def __init__(self, nest: LoopNest, space: UnrollSpace, line_size: int,
-                 trip: int, per_ugs: list[UgsTables]):
+                 trip: int, per_ugs: list[UgsTables],
+                 aggregate: Aggregate | None = None):
         self.nest = nest
         self.space = space
         self.line_size = line_size
@@ -148,11 +140,25 @@ class UnrollTables:
                     raise ValueError(
                         f"table box {table.dims}/{table.bounds} differs "
                         f"from the unroll space {space.dims}/{space.bounds}")
-        self._base_flops = nest.flops_per_iteration()
-        self._points: dict[UnrollVector, UnrollPoint] = {}
-        self._aggregate: _Aggregate | None = None
+        self._aggregate = aggregate
 
-    def _build_aggregate(self) -> _Aggregate:
+    @property
+    def aggregate(self) -> Aggregate:
+        """The whole-nest columns, built at first use."""
+        if self._aggregate is None:
+            self._aggregate = self._build_aggregate()
+        return self._aggregate
+
+    def rebind(self, nest: LoopNest) -> "UnrollTables":
+        """These tables under a structurally identical ``nest`` (renamed
+        loop variables, another name): every table and the aggregate are
+        shared, only :attr:`nest` differs."""
+        if nest is self.nest:
+            return self
+        return UnrollTables(nest, self.space, self.line_size, self.trip,
+                            self.per_ugs, self.aggregate)
+
+    def _build_aggregate(self) -> Aggregate:
         """Whole-nest counts at every box point: the elementwise sums of
         every set's count columns.
 
@@ -178,29 +184,26 @@ class UnrollTables:
                                         entry.gts.counts, entry.gss.counts,
                                         weights)):
                 sums[k] = list(map(add, sums[k], column))
-        strides = _row_major_strides(tuple(b + 1 for b in space.bounds))
-        return _Aggregate(strides, sums, scale * line)
+        sizes = tuple(b + 1 for b in space.bounds)
+        copies = box_copies(sizes)
+        base_flops = self.nest.flops_per_iteration()
+        return Aggregate(_row_major_strides(sizes), copies,
+                         [base_flops * c for c in copies], *sums,
+                         scale * line)
 
     def point(self, u: UnrollVector) -> UnrollPoint:
-        if u not in self._points:
-            self._points[u] = self._compute_point(u)
-        return self._points[u]
-
-    def _compute_point(self, u: UnrollVector) -> UnrollPoint:
+        """The model quantities at ``u``, read from :attr:`aggregate`."""
         if not self.space.contains(u):
             raise ValueError(f"unroll vector {u} outside the table space")
-        agg = self._aggregate
-        if agg is None:
-            agg = self._aggregate = self._build_aggregate()
+        agg = self.aggregate
         idx = 0
         for dim, stride in zip(self.space.dims, agg.strides):
             idx += u[dim] * stride
-        memory_ops, registers, gts, gss, cost = agg.sums
-        flops = int_fraction(self._base_flops * body_copies(u))
         return UnrollPoint(
-            u, flops, int_fraction(memory_ops[idx]),
-            int_fraction(registers[idx]), int_fraction(gts[idx]),
-            int_fraction(gss[idx]), Fraction(cost[idx], agg.denominator))
+            u, int_fraction(agg.flops[idx]), int_fraction(agg.memory_ops[idx]),
+            int_fraction(agg.registers[idx]), int_fraction(agg.gts[idx]),
+            int_fraction(agg.gss[idx]),
+            Fraction(agg.cost[idx], agg.denominator))
 
     def all_points(self) -> list[UnrollPoint]:
         return [self.point(u) for u in self.space]
@@ -240,8 +243,9 @@ def build_tables(nest: LoopNest, space: UnrollSpace, line_size: int = 4,
                 continue
         base, _, _ = self_reuse_base(group.matrix, localized, line_size,
                                      trip)
-        gts, gss, rrs, registers = OffsetTable.from_counts_multi(
-            space, keyed_counts(group, space, localized, line_size), 4)
+        gts, gss, rrs, registers = (
+            OffsetTable(space.dims, space.bounds, column)
+            for column in keyed_counts(group, space, localized, line_size))
         entry = UgsTables(ugs=group, base_cost=base, gts=gts, gss=gss,
                           rrs=rrs, registers=registers)
         if ugs_cache is not None:

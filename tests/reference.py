@@ -10,10 +10,13 @@ run the same public entry point both ways and compare:
 * ``siv.closed_form`` answers None, so group reuse, self reuse and merges
   take the rational solvers;
 * :func:`repro.unroll.tables.build_tables` counts every set with
-  :func:`reference_counts` (the union-find lattice counts) instead of
+  :func:`reference_columns` (the union-find lattice counts) instead of
   :func:`repro.unroll.streams.keyed_counts`;
 * :func:`repro.unroll.optimize.choose_unroll` scores loops with
-  :func:`repro.reuse.locality.pairwise_locality_scores`;
+  :func:`repro.reuse.locality.pairwise_locality_scores` and ranks the box
+  with :func:`reference_search`, the Fraction balance objective of
+  :func:`repro.balance.objective` at every scanned point, in place of
+  the integer keys of :meth:`repro.unroll.optimize.BoxRanking.keys`;
 * ``Matrix._rref`` and ``Matrix.rank`` run Gauss-Jordan elimination over
   Fractions (``Matrix._rref_fraction``).
 
@@ -51,12 +54,14 @@ from unittest import mock
 
 import repro.unroll.optimize
 import repro.unroll.tables
+from repro.balance import objective
 from repro.linalg import Matrix, VectorSpace, siv
 from repro.linalg.matrix import SivRows
 from repro.reuse.locality import pairwise_locality_scores
 from repro.reuse.ugs import UniformlyGeneratedSet
 from repro.reuse.unionfind import UnionFind
-from repro.unroll.space import UnrollSpace, UnrollVector
+from repro.unroll.optimize import BoxRanking
+from repro.unroll.space import UnrollSpace, UnrollVector, body_copies, dominates
 from repro.unroll.streams import (
     PairMerge,
     _box_geometry,
@@ -351,12 +356,46 @@ def reference_counts(group: UniformlyGeneratedSet, space: UnrollSpace,
                     summary.memory_ops, summary.registers)
     return count
 
+def reference_columns(group: UniformlyGeneratedSet, space: UnrollSpace,
+                      localized: VectorSpace, line_size: int | None,
+                      ) -> tuple[list[int], ...]:
+    """:func:`reference_counts` at every box point, as the four row-major
+    columns :func:`repro.unroll.streams.keyed_counts` returns."""
+    count = reference_counts(group, space, localized, line_size)
+    return tuple(list(column) for column in zip(*(count(u) for u in space)))
+
 def counted_tables(group: UniformlyGeneratedSet, space: UnrollSpace,
                    localized: VectorSpace, line_size: int) -> list[OffsetTable]:
     """The GTS, GSS, RRS and register tables of one set from
     :func:`reference_counts` at every box point."""
-    return OffsetTable.from_counts_multi(
-        space, reference_counts(group, space, localized, line_size), 4)
+    return [OffsetTable(space.dims, space.bounds, column) for column
+            in reference_columns(group, space, localized, line_size)]
+
+# -- the Fraction search -----------------------------------------------------
+
+def reference_search(ranking: BoxRanking) -> Iterator[tuple]:
+    """``(objective, body copies, u)`` for every register-feasible vector
+    of the ranking's box, the objective a Fraction from
+    :func:`repro.balance.objective` at ``tables.point(u)``: the keys
+    :meth:`BoxRanking.keys` must order the same way.
+
+    The scan skips every vector that componentwise dominates an
+    already-infeasible one.
+    """
+    tables, machine = ranking.tables, ranking.machine
+    space = tables.space
+    infeasible: list[tuple[int, ...]] = []
+    for reduced in space.reduced_box():
+        if infeasible and any(dominates(reduced, floor)
+                              for floor in infeasible):
+            continue
+        u = space.embed(reduced)
+        point = tables.point(u)
+        if point.registers > machine.registers:
+            infeasible.append(reduced)
+            continue
+        yield (objective(point, machine, ranking.include_cache,
+                         ranking.miss_model), body_copies(u), u)
 
 def _fraction_rank(matrix: Matrix) -> int:
     _, pivots = matrix._rref_fraction()
@@ -369,10 +408,12 @@ def rational_reference() -> Iterator[None]:
         stack.enter_context(mock.patch.object(
             siv, "closed_form", lambda matrix, localized: None))
         stack.enter_context(mock.patch.object(
-            repro.unroll.tables, "keyed_counts", reference_counts))
+            repro.unroll.tables, "keyed_counts", reference_columns))
         stack.enter_context(mock.patch.object(
             repro.unroll.optimize, "loop_locality_scores",
             pairwise_locality_scores))
+        stack.enter_context(mock.patch.object(
+            BoxRanking, "keys", reference_search))
         stack.enter_context(mock.patch.object(
             Matrix, "_rref", Matrix._rref_fraction))
         stack.enter_context(mock.patch.object(

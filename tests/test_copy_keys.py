@@ -240,7 +240,7 @@ def test_hand_built_counts(name, line):
     nest = parse_nest(HAND_BUILT[name], name=name)
     for group, space, axes in _cases([nest]):
         localized = VectorSpace.spanned_by_axes(list(axes), nest.depth)
-        got = keyed_counts(group, space, localized, line)
+        got = list(zip(*keyed_counts(group, space, localized, line)))
         want = reference_counts(group, space, localized, line)
-        for u in space:
-            assert got(u) == want(u), (group.pretty(), axes, u)
+        for at, u in enumerate(space):
+            assert got[at] == want(u), (group.pretty(), axes, u)

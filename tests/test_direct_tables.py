@@ -98,10 +98,10 @@ def oracle(group, u, dims, localized, line):
 def assert_every_point(nest, space, localized, lines):
     for group in partition_ugs(nest):
         for line in lines:
-            counts = keyed_counts(group, space, localized, line)
-            for u in space:
-                assert counts(u) == oracle(group, u, space.dims, localized,
-                                           line), (group.array, line, u)
+            counts = list(zip(*keyed_counts(group, space, localized, line)))
+            for at, u in enumerate(space):
+                assert counts[at] == oracle(group, u, space.dims, localized,
+                                            line), (group.array, line, u)
 
 @pytest.mark.parametrize("where", LOCALIZED)
 @pytest.mark.parametrize("case", CASES)
@@ -137,9 +137,9 @@ def test_refusal_shape():
                 key=lambda g: g.size)
     assert b_set.size == 3
     assert pairwise_merges(b_set, space.dims, localized) == []
-    counts = keyed_counts(b_set, space, localized, 4)
-    for u in space:
-        assert counts(u)[0] == b_set.size * (u[1] + 1)
+    gts = keyed_counts(b_set, space, localized, 4)[0]
+    for at, u in enumerate(space):
+        assert gts[at] == b_set.size * (u[1] + 1)
 
 def _counts(tables):
     return [table.counts for table in tables]

@@ -7,6 +7,7 @@ from repro.engine import AnalysisEngine, BatchError, disk_cache_stats
 from repro.ir.builder import NestBuilder
 from repro.machine.presets import dec_alpha
 from repro.unroll.optimize import choose_unroll
+from repro.unroll.tables import UnrollTables
 
 def _intro_nest(name="intro", outer="J", inner="I", array="A"):
     b = NestBuilder(name)
@@ -73,6 +74,27 @@ class TestMemoization:
         assert result.nest.index_names == ("JJ", "II")
         assert result.unroll == choose_unroll(
             _intro_nest(outer="JJ", inner="II"), machine, bound=4).unroll
+
+    def test_renamed_twin_shares_the_aggregate(self, monkeypatch):
+        """A twin's search reads the cached tables' whole-nest columns: the
+        second optimize builds no second aggregate."""
+        built = []
+        build = UnrollTables._build_aggregate
+
+        def counting(tables):
+            built.append(tables.nest.name)
+            return build(tables)
+
+        monkeypatch.setattr(UnrollTables, "_build_aggregate", counting)
+        engine = AnalysisEngine()
+        machine = dec_alpha()
+        first = engine.optimize(_intro_nest(), machine, bound=4)
+        twin = engine.optimize(_intro_nest("twin", outer="JJ", inner="II"),
+                               machine, bound=4)
+        assert twin.tables is not first.tables
+        assert twin.tables.nest.name == "twin"
+        assert twin.tables.aggregate is first.tables.aggregate
+        assert built == ["intro"]
 
     def test_lru_eviction(self):
         engine = AnalysisEngine(capacity=1)

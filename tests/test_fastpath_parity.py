@@ -13,9 +13,10 @@ randomized inputs:
 * End-to-end ``choose_unroll`` and ``build_tables``: the integer paths
   (Bareiss, the closed-form SIV kernel, keyed table and locality counts)
   vs the same calls under :func:`tests.reference.rational_reference`
-  (Fraction elimination, the rational solvers, union-find table counts
-  and pairwise locality scores) on the whole kernel corpus and on
-  randomized nests.
+  (Fraction elimination, the rational solvers, union-find table counts,
+  pairwise locality scores and the Fraction search of
+  :func:`tests.reference.reference_search`) on the whole kernel corpus,
+  scalar and vectorized, and on randomized nests.
 
 Together with the per-case loops below, well over 1000 randomized
 matrices/tables/nests are exercised.
@@ -87,9 +88,9 @@ def test_box_sum_matches_scan():
             assert table.box_sum(query) == paper_sum(increments, query), \
                 (case, query)
 
-def _reference_choose(nest, machine, bound):
+def _reference_choose(nest, machine, bound, **options):
     with rational_reference():
-        return choose_unroll(nest, machine, bound=bound)
+        return choose_unroll(nest, machine, bound=bound, **options)
 
 @pytest.mark.parametrize("machine", [dec_alpha(), future_wide()],
                          ids=["dec_alpha", "future_wide"])
@@ -98,7 +99,19 @@ def test_corpus_parity(machine):
         fast = choose_unroll(kernel.nest, machine, bound=4)
         ref = _reference_choose(kernel.nest, machine, bound=4)
         assert fast.unroll == ref.unroll, kernel.name
+        assert fast.objective == ref.objective, kernel.name
         assert fast.breakdown == ref.breakdown, kernel.name
+
+def test_vectorized_corpus_parity():
+    """The ``vectorize=True`` shortlist comes from the same ranking: the
+    integer keys and the Fraction scan re-rank to the same vector."""
+    machine = future_wide()
+    for kernel in all_kernels():
+        fast = choose_unroll(kernel.nest, machine, bound=4, vectorize=True)
+        ref = _reference_choose(kernel.nest, machine, bound=4,
+                                vectorize=True)
+        assert fast.unroll == ref.unroll, kernel.name
+        assert fast.objective == ref.objective, kernel.name
 
 @pytest.mark.parametrize("seed", range(10))
 def test_randomized_nest_parity(seed):
@@ -108,6 +121,7 @@ def test_randomized_nest_parity(seed):
     fast = choose_unroll(nest, machine, bound=3)
     ref = _reference_choose(nest, machine, bound=3)
     assert fast.unroll == ref.unroll, seed
+    assert fast.objective == ref.objective, seed
     assert fast.breakdown == ref.breakdown, seed
 
 @pytest.mark.parametrize("seed", range(6))
