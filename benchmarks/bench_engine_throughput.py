@@ -1,13 +1,11 @@
-"""Engine throughput: cold vs warm cache, worker fan-out, nests/sec.
+"""Engine throughput: cold vs warm cache, nests/sec.
 
 The engine's claims, measured on the 19 Table 2 kernels:
 
 * **parity** -- ``optimize_many`` returns byte-identical unroll vectors to
   sequential :func:`repro.unroll.optimize.choose_unroll`;
 * **warm cache** -- a rerun on the same engine answers >= 90% of table
-  queries from the memo and finishes measurably faster;
-* **fan-out** -- 1/2/4 workers, reported as nests/sec; every row must
-  reproduce the sequential vectors with no failures.
+  queries from the memo and finishes measurably faster.
 
 Runs under pytest (``pytest benchmarks/bench_engine_throughput.py``) and
 as a standalone script for the CI smoke job::
@@ -37,12 +35,10 @@ from repro.kernels import all_kernels
 from repro.machine.presets import dec_alpha
 from repro.unroll.optimize import choose_unroll
 
-def _timed_batch(engine: AnalysisEngine, nests, machine, bound: int,
-                 workers: int | None):
+def _timed_batch(engine: AnalysisEngine, nests, machine, bound: int):
     """One optimize_many run plus the cache-counter delta it contributed."""
     before = dict(engine.metrics.counters)
-    report = engine.optimize_many(nests, machine, workers=workers,
-                                  bound=bound)
+    report = engine.optimize_many(nests, machine, bound=bound)
     counters = delta(before, engine.metrics.counters)
     hits = counters.get("cache.tables.hit", 0)
     misses = counters.get("cache.tables.miss", 0)
@@ -55,12 +51,10 @@ def _timed_batch(engine: AnalysisEngine, nests, machine, bound: int,
         "counters": counters,
     }
 
-def run_throughput(bound: int = 4, workers_list=(1, 2, 4),
-                   quick: bool = False) -> dict:
+def run_throughput(bound: int = 4, quick: bool = False) -> dict:
     """The full experiment; returns the JSON-ready payload."""
     if quick:
         bound = 3
-        workers_list = (1, 2)
     kernels = all_kernels()
     nests = [kernel.nest for kernel in kernels]
     machine = dec_alpha()
@@ -71,25 +65,13 @@ def run_throughput(bound: int = 4, workers_list=(1, 2, 4),
     seq_time = time.monotonic() - t0
 
     engine = AnalysisEngine()
-    cold_report, cold = _timed_batch(engine, nests, machine, bound,
-                                     workers=1)
-    warm_report, warm = _timed_batch(engine, nests, machine, bound,
-                                     workers=1)
+    cold_report, cold = _timed_batch(engine, nests, machine, bound)
+    warm_report, warm = _timed_batch(engine, nests, machine, bound)
 
     cold_vectors = [item.result.unroll for item in cold_report.items]
     warm_vectors = [item.result.unroll for item in warm_report.items]
     mismatches = [kernels[i].name for i, (a, b) in
                   enumerate(zip(sequential, cold_vectors)) if a != b]
-
-    fanout = []
-    for workers in workers_list:
-        fresh = AnalysisEngine()
-        report, stats = _timed_batch(fresh, nests, machine, bound,
-                                     workers=workers)
-        vectors = [item.result.unroll if item.ok else None
-                   for item in report.items]
-        fanout.append({"workers": workers, **stats,
-                       "matches": vectors == sequential})
 
     return {
         "bound": bound,
@@ -99,7 +81,6 @@ def run_throughput(bound: int = 4, workers_list=(1, 2, 4),
                        if seq_time else 0.0},
         "cold": cold,
         "warm": warm,
-        "fanout": fanout,
         "parity": {"matches": not mismatches and
                               cold_vectors == warm_vectors,
                    "mismatches": mismatches},
@@ -107,14 +88,12 @@ def run_throughput(bound: int = 4, workers_list=(1, 2, 4),
     }
 
 def accepted(payload: dict) -> bool:
-    """Parity (cold, warm and every fan-out row), the warm hit-rate bar,
-    warm faster than cold, and no failed item anywhere."""
+    """Parity (cold and warm), the warm hit-rate bar, warm faster than
+    cold, and no failed item."""
     return (payload["parity"]["matches"]
             and payload["warm"]["tables_hit_rate"] >= 0.90
             and payload["warm"]["wall_time_s"] < payload["cold"]["wall_time_s"]
-            and payload["cold"]["failures"] == 0
-            and all(row["matches"] and row["failures"] == 0
-                    for row in payload["fanout"]))
+            and payload["cold"]["failures"] == 0)
 
 def format_throughput(payload: dict) -> str:
     lines = [f"Engine throughput over the {payload['kernels']} Table 2 "
@@ -131,14 +110,8 @@ def format_throughput(payload: dict) -> str:
     row("sequential (no cache)", payload["sequential"])
     row("engine, cold", payload["cold"], payload["cold"]["tables_hit_rate"])
     row("engine, warm", payload["warm"], payload["warm"]["tables_hit_rate"])
-    for stats in payload["fanout"]:
-        row(f"engine, {stats['workers']} worker(s)", stats,
-            stats["tables_hit_rate"])
     lines.append("")
     lines.append(f"parity with choose_unroll: {payload['parity']['matches']}")
-    lines.append("fan-out parity: " + ", ".join(
-        f"{row['workers']}w={row['matches'] and row['failures'] == 0}"
-        for row in payload["fanout"]))
     speedup = (payload["cold"]["wall_time_s"] /
                payload["warm"]["wall_time_s"]
                if payload["warm"]["wall_time_s"] else float("inf"))
@@ -166,7 +139,7 @@ def test_engine_throughput(results_dir):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="smaller bound and worker sweep (CI smoke)")
+                        help="smaller bound (CI smoke)")
     parser.add_argument("--bound", type=int, default=4)
     parser.add_argument("--results-dir", default=str(_REPO / "results"))
     parser.add_argument("--emit-trace", action="store_true",

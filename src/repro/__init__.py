@@ -10,7 +10,7 @@ names, DO-loop source strings, file paths, or built nests uniformly::
     print(result.unroll, float(result.balance))
 
     transformed = repro.transform("jacobi", unroll=result.unroll)
-    report = repro.optimize_many(["jacobi", "afold", "mmjik"], workers=2)
+    report = repro.optimize_many(["jacobi", "afold", "mmjik"])
 
 Building nests programmatically still works the classic way::
 
@@ -23,7 +23,9 @@ Building nests programmatically still works the classic way::
     result = choose_unroll(nest, dec_alpha(), bound=8)
 
 The long-lived HTTP analysis service lives in :mod:`repro.serve`
-(``python -m repro serve``; see docs/SERVING.md).
+(``python -m repro serve``; see docs/SERVING.md); ``--workers N`` shards
+it over N processes, the one way to use more than one core
+(docs/CLUSTER.md).
 
 See README.md for the tour, DESIGN.md for the system inventory,
 docs/ENGINE.md for the batch analysis engine, and EXPERIMENTS.md for the

@@ -27,6 +27,7 @@ import difflib
 import os
 import pathlib
 import warnings
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover -- type names only
@@ -201,13 +202,22 @@ def serialize_nest(nest: LoopNest) -> dict:
 
     return {"name": nest.name, "source": format_nest(nest)}
 
+@lru_cache(maxsize=None)
+def _preset(name: str) -> MachineModel:
+    """One shared instance per preset name, built on first use (the
+    models are frozen, so every caller may hold the same one); an unknown
+    name raises ``KeyError`` and is not cached."""
+    return MACHINES[name]()
+
 def coerce_machine(machine: "MachineModel | str") -> MachineModel:
-    """A :class:`MachineModel` from a preset name or a model object."""
+    """A :class:`MachineModel` from a preset name or a model object.
+
+    A name resolves to one shared preset instance per process."""
     if isinstance(machine, MachineModel):
         return machine
     if isinstance(machine, str):
         try:
-            return MACHINES[machine]()
+            return _preset(machine)
         except KeyError:
             raise ValueError(f"unknown machine {machine!r}; choose from "
                              f"{sorted(MACHINES)}") from None
@@ -316,47 +326,56 @@ def _batch_entries(specs: Iterable) -> Iterator:
                 getattr(spec, "name", f"item{index}")
             yield BatchError(name=str(label), message=str(err))
 
+#: What replaces ``workers=N``: the corpus verbs run in-process, and more
+#: than one core is the cluster's job.
+_MULTI_CORE = ("repro serve --workers N (docs/CLUSTER.md) for more than one "
+               "core")
+
 def optimize_many(specs: Sequence, machine: "MachineModel | str" = "alpha",
                   workers: int | None = None, bound: int = DEFAULT_BOUND,
                   max_loops: int = 2, include_cache: bool = True,
                   trip: int = 100,
                   engine: AnalysisEngine | None = None) -> BatchReport:
-    """Optimize a corpus of nest specifications (any accepted shape).
+    """Optimize a corpus of nest specifications (any accepted shape)
+    in-process.
 
     Specifications that fail to coerce become reported failures in the
     returned :class:`BatchReport`; the rest of the batch completes.
+    ``workers`` is deprecated: a value above 1 warns and runs in-process.
     """
+    if (workers or 1) > 1:
+        warn_deprecated("optimize_many(workers=N)", _MULTI_CORE)
     with _span("api.optimize_many"):
         model = coerce_machine(machine)
         engine = engine if engine is not None else default_engine()
         return engine.optimize_many(
-            list(_batch_entries(specs)), model, workers=workers,
-            bound=bound, max_loops=max_loops, include_cache=include_cache,
-            trip=trip)
+            list(_batch_entries(specs)), model, bound=bound,
+            max_loops=max_loops, include_cache=include_cache, trip=trip)
 
 def optimize_stream(specs, machine: "MachineModel | str" = "alpha",
                     workers: int | None = None, bound: int = DEFAULT_BOUND,
                     max_loops: int = 2, include_cache: bool = True,
-                    trip: int = 100, chunk_size: int = 32,
+                    trip: int = 100,
                     engine: AnalysisEngine | None = None):
-    """Optimize an *iterable* corpus, yielding per-nest results as they
-    complete (the streaming sibling of :func:`optimize_many`).
+    """Optimize an *iterable* corpus, yielding per-nest results in input
+    order as they complete (the streaming sibling of
+    :func:`optimize_many`).
 
     ``specs`` may be any iterable -- including a generator such as
     :func:`repro.corpus.iter_corpus` -- and is consumed lazily, so a
     100k-nest sweep never materializes its corpus or its result list.
-    Yields :class:`repro.engine.BatchItem`; with ``workers > 1`` items
-    arrive in completion order (each carries its input ``index``).
-    Specifications that fail to coerce become reported failures, like in
-    :func:`optimize_many`.
+    Yields :class:`repro.engine.BatchItem`.  Specifications that fail to
+    coerce become reported failures, like in :func:`optimize_many`;
+    ``workers`` is deprecated the same way.
     """
+    if (workers or 1) > 1:
+        warn_deprecated("optimize_stream(workers=N)", _MULTI_CORE)
     model = coerce_machine(machine)
     engine = engine if engine is not None else default_engine()
     with _span("api.optimize_stream"):
         yield from engine.optimize_stream(
-            _batch_entries(specs), model, workers=workers, bound=bound,
-            max_loops=max_loops, include_cache=include_cache, trip=trip,
-            chunk_size=chunk_size)
+            _batch_entries(specs), model, bound=bound, max_loops=max_loops,
+            include_cache=include_cache, trip=trip)
 
 def transform(nest_or_source, unroll: Sequence[int] | None = None,
               machine: "MachineModel | str" = "alpha",

@@ -310,8 +310,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             print(f"{item.name:<24.24s} FAILED: {item.error}")
     print()
     print(f"{len(report.items)} nest(s), {len(report.failures)} failure(s), "
-          f"{report.workers} worker(s), {report.wall_time_s:.3f}s "
-          f"({report.nests_per_sec:.1f} nests/sec)")
+          f"{report.wall_time_s:.3f}s ({report.nests_per_sec:.1f} nests/sec)")
     return 1 if report.failures else 0
 
 def _batch_stream(args: argparse.Namespace, engine, specs) -> int:
@@ -319,9 +318,8 @@ def _batch_stream(args: argparse.Namespace, engine, specs) -> int:
 
     Results are printed (or, with ``--json``, written as one JSON object
     per line) the moment they arrive, and nothing accumulates a report --
-    peak memory stays flat however large the corpus is.  With
-    ``--workers N`` the order is completion order; every row carries its
-    input index.
+    peak memory stays flat however large the corpus is.  Every row
+    carries its input index.
     """
     import time as _time
 
@@ -349,8 +347,7 @@ def _batch_stream(args: argparse.Namespace, engine, specs) -> int:
                   f"FAILED: {item.error}", flush=True)
     wall = _time.monotonic() - start
     rate = total / wall if wall > 0 else 0.0
-    summary = (f"{total} nest(s), {failures} failure(s), "
-               f"{args.workers or 1} worker(s), {wall:.3f}s "
+    summary = (f"{total} nest(s), {failures} failure(s), {wall:.3f}s "
                f"({rate:.1f} nests/sec), dedup hits "
                f"{engine.metrics.counter('engine.dedup.hits')}")
     print(summary, file=sys.stderr if args.json else sys.stdout)
@@ -589,7 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--machine", default="alpha")
     p_batch.add_argument("--bound", type=int, default=8)
     p_batch.add_argument("--workers", type=int, default=None,
-                         help="process-pool size (default: in-process)")
+                         help="deprecated: every batch runs in-process; "
+                              "use 'repro serve --workers N' for more "
+                              "than one core")
     p_batch.add_argument("--json", action="store_true",
                          help="emit the full report (items + metrics) as "
                               "JSON")

@@ -14,10 +14,10 @@ nests and across runs:
   persist to the on-disk JSON tier of :mod:`repro.engine.disk` (default
   ``~/.cache/repro/``, override with the ``REPRO_CACHE_DIR`` environment
   variable) reusing :mod:`repro.unroll.serialize`;
-* :meth:`AnalysisEngine.optimize_stream` fans a corpus out over a
-  process pool in picklable chunks with per-nest error capture, so one
-  malformed nest degrades to a reported failure instead of killing the
-  batch; :meth:`AnalysisEngine.optimize_many` collects that stream;
+* :meth:`AnalysisEngine.optimize_stream` runs a corpus in-process with
+  structural dedup and per-nest error capture, so one malformed nest
+  degrades to a reported failure instead of killing the batch;
+  :meth:`AnalysisEngine.optimize_many` collects that stream;
 * every stage is instrumented through :mod:`repro.engine.metrics`.
 
 ``engine.optimize(nest, machine)`` is guaranteed to return the same
@@ -28,7 +28,6 @@ and ``benchmarks/bench_engine_throughput.py`` enforce vector-level parity.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import pathlib
 import time
@@ -52,7 +51,6 @@ from repro.engine.metrics import Metrics
 from repro.engine.ugscache import UgsTableCache
 from repro.ir.nodes import LoopNest, nest_identity
 from repro.obs import profile as _obs_profile
-from repro.obs import trace as _obs_trace
 from repro.obs.trace import span as _span
 from repro.machine.model import MachineModel
 from repro.reuse.locality import loop_locality_scores
@@ -112,7 +110,6 @@ class BatchItem:
     result: OptimizationResult | None = None
     error: str | None = None
     duration_s: float = 0.0
-    spans: list | None = None  # always None: chunk spans go to the tracer
 
     def to_dict(self) -> dict:
         row: dict = {"index": self.index, "name": self.name, "ok": self.ok,
@@ -131,7 +128,6 @@ class BatchReport:
     """Everything :meth:`AnalysisEngine.optimize_many` learned."""
 
     items: list[BatchItem]
-    workers: int
     wall_time_s: float
     metrics: dict = field(default_factory=dict)
 
@@ -152,7 +148,6 @@ class BatchReport:
 
     def to_dict(self) -> dict:
         return {
-            "workers": self.workers,
             "wall_time_s": self.wall_time_s,
             "nests": len(self.items),
             "failures": len(self.failures),
@@ -379,43 +374,33 @@ class AnalysisEngine:
     # -- corpus fan-out ------------------------------------------------------
 
     def optimize_many(self, nests: Sequence[object], machine: MachineModel,
-                      workers: int | None = None,
                       bound: int = DEFAULT_BOUND, max_loops: int = 2,
                       include_cache: bool = True,
                       trip: int = 100) -> BatchReport:
         """Optimize a whole corpus: :meth:`optimize_stream`, collected
-        back into input order.
+        into a report in input order.
 
-        ``workers=None`` or ``1`` runs in-process (sharing this engine's
-        caches); ``workers=N`` fans about four chunks per worker over a
-        process pool.  Entries that are not :class:`LoopNest` (or are
-        :class:`BatchError` placeholders from upstream coercion) and nests
-        whose analysis raises become failed items; the rest of the batch
-        completes.
+        Entries that are not :class:`LoopNest` (or are :class:`BatchError`
+        placeholders from upstream coercion) and nests whose analysis
+        raises become failed items; the rest of the batch completes.
 
         The dedup window spans the whole batch, so every structure runs
         once and its result fans back out to each structural twin
         (``engine.dedup.hits`` counts the slots saved).
         """
         start = time.monotonic()
-        # About four chunks per worker: enough to keep every worker busy,
-        # few enough to amortize the per-chunk pickling hop.
-        chunk_size = math.ceil(len(nests) / (4 * (workers or 1))) or 1
-        with _span("engine.optimize_many", nests=len(nests),
-                   workers=workers or 1):
-            items = sorted(self.optimize_stream(
-                nests, machine, workers=workers, bound=bound,
-                max_loops=max_loops, include_cache=include_cache, trip=trip,
-                chunk_size=chunk_size, window=max(1, len(nests))),
-                key=lambda item: item.index)
+        with _span("engine.optimize_many", nests=len(nests)):
+            items = list(self.optimize_stream(
+                nests, machine, bound=bound, max_loops=max_loops,
+                include_cache=include_cache, trip=trip,
+                window=max(1, len(nests))))
         wall = time.monotonic() - start
         self.metrics.count("batch.runs")
         self.metrics.count("batch.items", len(items))
         self.metrics.count("batch.failures",
                            sum(1 for item in items if not item.ok))
         self.metrics.observe("stage.batch", wall)
-        return BatchReport(items=items, workers=workers or 1,
-                           wall_time_s=wall,
+        return BatchReport(items=items, wall_time_s=wall,
                            metrics=self.metrics.snapshot())
 
     def _run_one(self, index: int, nest: object, machine: MachineModel,
@@ -441,26 +426,18 @@ class AnalysisEngine:
 
     def optimize_stream(self, nests: Iterable[object],
                         machine: MachineModel,
-                        workers: int | None = None,
                         bound: int = DEFAULT_BOUND, max_loops: int = 2,
                         include_cache: bool = True, trip: int = 100,
-                        chunk_size: int = 32,
                         window: int = 4096) -> Iterator[BatchItem]:
-        """Optimize an *iterable* corpus, yielding items as they complete.
+        """Optimize an *iterable* corpus in-process, yielding items in
+        input order as they complete.
 
         The one corpus fan-out path (:meth:`optimize_many` collects it).
         Nothing holds the input list or the result list, so peak memory
-        stays near-flat in the corpus size.
-
-        * ``workers=None``/``1`` runs in-process, yielding in input
-          order; ``workers=N`` fans chunks of ``chunk_size`` nests over a
-          process pool (eagerly warmed via a pool initializer, so every
-          worker's UGS cache is hot from its first chunk) with at most
-          ``2 * workers`` chunks in flight, yielding in *completion*
-          order -- consume :attr:`BatchItem.index` to reorder.
-        * structural twins dedup against a sliding ``window`` of recent
-          results (and against in-flight chunks) before dispatch, counted
-          as ``engine.dedup.hits``.
+        stays near-flat in the corpus size.  Structural twins dedup
+        against a sliding ``window`` of recent results, counted as
+        ``engine.dedup.hits``.  More than one core is the cluster's job
+        (``repro serve --workers N``, docs/CLUSTER.md).
 
         Every yielded item is a :class:`BatchItem`; entries that are not
         :class:`LoopNest` and nests whose analysis raises become failed
@@ -469,18 +446,8 @@ class AnalysisEngine:
         params = dict(bound=bound, max_loops=max_loops,
                       include_cache=include_cache, trip=trip)
         self.metrics.count("stream.runs")
-        entries = enumerate(nests)
         recent = Memo("dedup", window)
-        if workers is not None and workers > 1:
-            yield from self._stream_parallel(entries, machine, workers,
-                                             params, chunk_size, recent)
-        else:
-            yield from self._stream_serial(entries, machine, params, recent)
-
-    def _stream_serial(self, entries: Iterator[tuple[int, object]],
-                       machine: MachineModel, params: dict,
-                       recent: Memo) -> Iterator[BatchItem]:
-        for index, nest in entries:
+        for index, nest in enumerate(nests):
             key = (nest.structural_key()
                    if isinstance(nest, LoopNest) else None)
             rep = recent.get(key) if key is not None else None
@@ -493,131 +460,6 @@ class AnalysisEngine:
             if key is not None:
                 recent.put(key, item)
             yield item
-
-    def _stream_parallel(self, entries: Iterator[tuple[int, object]],
-                         machine: MachineModel, workers: int, params: dict,
-                         chunk_size: int,
-                         recent: Memo) -> Iterator[BatchItem]:
-        from concurrent import futures
-
-        trace_ctx = (_obs_trace.current_context()
-                     if _obs_trace.get_tracer().enabled else None)
-        try:
-            pool = futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(self.disk is not None, str(self.cache_dir)))
-        except (OSError, PermissionError, NotImplementedError):
-            self.metrics.count("batch.pool_fallback")
-            yield from self._stream_serial(entries, machine, params, recent)
-            return
-
-        #: key -> duplicates waiting on an in-flight representative.
-        waiting: dict[object, list[tuple[int, LoopNest]]] = {}
-        chunk: list[tuple[int, LoopNest, object]] = []
-        pending: dict = {}  # future -> its chunk's (index, nest, key) list
-        max_pending = 2 * workers
-        exhausted = False
-
-        def submit() -> None:
-            nonlocal chunk
-            if not chunk:
-                return
-            task = _Chunk(entries=tuple((i, nest) for i, nest, _ in chunk),
-                          machine=machine, params=params, trace=trace_ctx)
-            try:
-                future = pool.submit(_optimize_chunk, task)
-            except futures.BrokenExecutor as err:  # a worker died earlier
-                future = futures.Future()
-                future.set_exception(err)
-            pending[future] = chunk
-            chunk = []
-            self.metrics.count("stream.chunks")
-
-        def settle(key: object, item: BatchItem) -> Iterator[BatchItem]:
-            """Yield one completed entry, then its waiting twins."""
-            self.metrics.count("stream.items")
-            recent.put(key, item)
-            yield item
-            dups = waiting.pop(key, ())
-            if dups:
-                self.metrics.count("engine.dedup.hits", len(dups))
-            for dup_index, dup_nest in dups:
-                yield _fan_item(item, dup_index, dup_nest)
-
-        def drain(future) -> Iterator[BatchItem]:
-            done_entries = pending.pop(future)
-            try:
-                out = future.result()
-            except Exception as err:  # broken pool / unpicklable
-                out = _ChunkResult(items=[
-                    BatchItem(index=i, name=nest.name, ok=False,
-                              error=f"worker failed: "
-                                    f"{type(err).__name__}: {err}")
-                    for i, nest, _ in done_entries])
-            if out.metrics is not None:
-                self.metrics.merge(out.metrics)
-            if out.spans is not None:
-                _obs_trace.get_tracer().ingest(out.spans)
-            by_index = {item.index: item for item in out.items}
-            for index, nest, key in done_entries:
-                item = by_index.get(index)
-                if item is None:  # defensive: worker dropped an entry
-                    item = BatchItem(index=index, name=nest.name, ok=False,
-                                     error="worker returned no result")
-                yield from settle(key, item)
-
-        try:
-            while True:
-                # Fill the pipeline up to the in-flight bound.
-                while not exhausted and len(pending) < max_pending:
-                    try:
-                        index, nest = next(entries)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    if not isinstance(nest, LoopNest):
-                        yield self._run_one(index, nest, machine, params)
-                        continue
-                    key = nest.structural_key()
-                    rep = recent.get(key)
-                    if rep is not None:
-                        self.metrics.count("engine.dedup.hits")
-                        yield _fan_item(rep, index, nest)
-                        continue
-                    if key in waiting:
-                        waiting[key].append((index, nest))
-                        continue
-                    waiting[key] = []
-                    chunk.append((index, nest, key))
-                    if len(chunk) >= chunk_size:
-                        submit()
-                if exhausted:
-                    submit()  # flush the partial tail chunk
-                if not pending:
-                    break
-                done, _ = futures.wait(
-                    pending, return_when=futures.FIRST_COMPLETED)
-                for future in done:
-                    yield from drain(future)
-        except (OSError, PermissionError, NotImplementedError):
-            # No working process pool here (sandbox, no fork): degrade to
-            # in-process for everything not yet completed.
-            self.metrics.count("batch.pool_fallback")
-            leftovers = [entry for group in pending.values()
-                         for entry in group] + chunk
-            for future in pending:
-                future.cancel()
-            pending.clear()
-            for index, nest, key in leftovers:
-                yield from settle(key, self._run_one(index, nest, machine,
-                                                     params))
-            yield from self._stream_serial(entries, machine, params, recent)
-        finally:
-            for future in pending:
-                future.cancel()
-            # Join the workers after a complete run; an abandoned stream
-            # must not block on the chunks it no longer wants.
-            pool.shutdown(wait=not pending, cancel_futures=True)
 
     # -- cache management ----------------------------------------------------
 
@@ -674,61 +516,3 @@ def _fan_item(rep: BatchItem, index: int, nest: LoopNest) -> BatchItem:
         result = replace(result, nest=nest)
     return BatchItem(index=index, name=nest.name, ok=rep.ok, result=result,
                      error=rep.error, duration_s=0.0)
-
-# -- worker-process plumbing -------------------------------------------------
-
-@dataclass(frozen=True)
-class _Chunk:
-    """Picklable work unit: a slice of the corpus shipped to a pool
-    worker in one hop."""
-
-    entries: tuple[tuple[int, LoopNest], ...]
-    machine: MachineModel
-    params: dict
-    trace: tuple[str, str] | None = None  # parent (trace_id, span_id)
-
-@dataclass
-class _ChunkResult:
-    """One chunk's items plus a single merged metrics/spans envelope."""
-
-    items: list[BatchItem]
-    metrics: dict | None = None
-    spans: list | None = None
-
-_WORKER_ENGINE: AnalysisEngine | None = None
-
-def _init_worker(disk_cache: bool, cache_dir: str) -> None:
-    """Pool initializer: build the per-process engine eagerly so every
-    worker's caches (tables LRU, UGS cache) exist -- and stay warm --
-    from its first chunk to its last."""
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = AnalysisEngine(disk_cache=disk_cache,
-                                    cache_dir=cache_dir)
-
-def _optimize_chunk(chunk: _Chunk) -> _ChunkResult:
-    """Run one chunk in a worker; per-nest errors degrade to failed
-    items, exactly as in :meth:`AnalysisEngine._run_one`.  The metrics
-    snapshot shipped back covers exactly this chunk's work."""
-    engine = _WORKER_ENGINE
-    engine.metrics.reset()
-    # Trace propagation: when the parent traced the run, record this
-    # chunk's spans into a fresh worker tracer rooted at the parent's
-    # context and ship them back serialized.
-    worker_tracer = None
-    previous_tracer = None
-    if chunk.trace is not None:
-        worker_tracer = _obs_trace.Tracer(enabled=True)
-        previous_tracer = _obs_trace.set_tracer(worker_tracer)
-    items: list[BatchItem] = []
-    try:
-        with _obs_trace.activate(chunk.trace):
-            for index, nest in chunk.entries:
-                items.append(engine._run_one(index, nest, chunk.machine,
-                                             chunk.params))
-    finally:
-        if previous_tracer is not None:
-            _obs_trace.set_tracer(previous_tracer)
-    spans = ([span_obj.to_dict() for span_obj in worker_tracer.spans()]
-             if worker_tracer is not None else None)
-    return _ChunkResult(items=items, metrics=engine.metrics.snapshot(),
-                        spans=spans)

@@ -9,8 +9,8 @@ are measurable instead of asserted.  A :class:`Metrics` object carries
 * **stage timers** -- per-stage wall time with count/total/min/max and a
   log-scale histogram of individual durations.
 
-Snapshots are plain JSON-serializable dicts; worker processes ship their
-snapshots back to the parent, which merges them.  ``to_json()`` is the
+Snapshots are plain JSON-serializable dicts; the cluster router merges
+its shards' snapshots into one document.  ``to_json()`` is the
 export the benchmark harness and ``python -m repro batch --json`` emit.
 """
 
@@ -130,26 +130,11 @@ class Metrics:
         self.stages: dict[str, StageStats] = {}
         self._lock = threading.RLock()
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks do not pickle; workers get a fresh one
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     # -- recording -----------------------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + n
-
-    def reset(self) -> None:
-        """Forget everything recorded so far."""
-        with self._lock:
-            self.counters.clear()
-            self.stages.clear()
 
     def observe(self, stage: str, seconds: float) -> None:
         with self._lock:
@@ -199,8 +184,8 @@ class Metrics:
             }
 
     def merge(self, snapshot: Mapping) -> None:
-        """Fold another Metrics' :meth:`snapshot` into this one (used to
-        aggregate worker-process metrics after a batch)."""
+        """Fold another Metrics' :meth:`snapshot` into this one (the
+        cluster router aggregates its shards' metrics this way)."""
         with self._lock:
             for name, value in snapshot.get("counters", {}).items():
                 self.count(name, value)

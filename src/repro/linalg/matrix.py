@@ -101,9 +101,9 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     def __reduce__(self):
-        # __slots__ plus the blocked __setattr__ defeat default pickling;
-        # rebuild through the constructor instead (needed to ship analysis
-        # results across process-pool workers).
+        # __slots__ plus the blocked __setattr__ defeat default pickling
+        # and copy.copy/deepcopy; rebuild through the constructor instead,
+        # so results that hold a Matrix stay picklable and copyable.
         return (Matrix, (self.rows, self.ncols))
 
     # -- construction helpers -------------------------------------------------

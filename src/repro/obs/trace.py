@@ -10,9 +10,9 @@ everything that needs a wire protocol:
   process-unique id, an optional parent id, and free-form attributes;
 * the *current* ``(trace_id, span_id)`` pair lives in a
   :mod:`contextvars` variable, so nesting works across ``await`` points
-  and, via :func:`activate`, across executor threads and worker
-  processes (child spans are serialized back with worker results and
-  re-ingested by the parent).
+  and, via :func:`activate`, across executor threads and processes: the
+  cluster router sends its context to a worker in request headers, so
+  the worker's spans carry the router's trace id.
 
 Finished spans land in a bounded ring buffer on the :class:`Tracer`
 (oldest dropped first) and can be exported as Chrome ``trace_event``
@@ -37,7 +37,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from typing import IO, ContextManager, Iterable, Iterator, Mapping
+from typing import IO, ContextManager, Iterator
 
 __all__ = [
     "LOG_ENV",
@@ -99,7 +99,7 @@ class Span:
         """Attach attributes to an open span (JSON-serializable values)."""
         self.attrs.update(attrs)
 
-    # -- serialization (worker -> parent, exports) ---------------------------
+    # -- serialization (exports) --------------------------------------------
 
     def to_dict(self) -> dict:
         return {
@@ -113,16 +113,6 @@ class Span:
             "tid": self.tid,
             "attrs": dict(self.attrs),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Span":
-        restored = cls(data["name"], data["trace_id"], data["span_id"],
-                       data.get("parent_id"), dict(data.get("attrs", {})))
-        restored.start_us = data.get("start_us", 0)
-        restored.duration_us = data.get("duration_us", 0)
-        restored.pid = data.get("pid", restored.pid)
-        restored.tid = data.get("tid", restored.tid)
-        return restored
 
     def to_chrome(self) -> dict:
         """A Chrome ``trace_event`` complete ("X") event."""
@@ -177,8 +167,8 @@ class Tracer:
         return os.urandom(8).hex()
 
     def next_span_id(self) -> str:
-        """Unique within the process *and* across worker processes (the
-        pid prefix keeps shipped-back worker spans collision-free)."""
+        """Unique within the process *and* across the cluster's worker
+        processes (the pid prefix keeps one trace's spans collision-free)."""
         return f"{os.getpid():x}-{next(self._ids):x}"
 
     # -- recording -----------------------------------------------------------
@@ -188,15 +178,6 @@ class Tracer:
             self._spans.append(span_obj)
         if self.log_format == "json":
             self._emit_log(span_obj)
-
-    def ingest(self, serialized: Iterable[Mapping]) -> int:
-        """Re-record spans shipped back from a worker process (already
-        carrying this trace's ids); returns how many were added."""
-        added = 0
-        for data in serialized or ():
-            self.record(Span.from_dict(data))
-            added += 1
-        return added
 
     def _emit_log(self, span_obj: Span) -> None:
         stream = self.log_stream if self.log_stream is not None \
@@ -257,8 +238,8 @@ def get_tracer() -> Tracer:
     return _TRACER
 
 def set_tracer(tracer: Tracer) -> Tracer:
-    """Swap the global tracer; returns the previous one (tests and worker
-    processes restore it)."""
+    """Swap the global tracer; returns the previous one (tests restore
+    it)."""
     global _TRACER
     previous = _TRACER
     _TRACER = tracer
@@ -328,7 +309,7 @@ def _open_span(active: Tracer, name: str, attrs: dict) -> Iterator[Span]:
 
 def activate(context: tuple[str, str] | None) -> ContextManager[None]:
     """Adopt a remote ``(trace_id, span_id)`` parent context -- the
-    propagation primitive for executor threads and pool workers.  A
+    propagation primitive for executor threads and remote callers.  A
     ``None`` context is a no-op (the shared null context), so call sites
     need no branching."""
     if context is None:

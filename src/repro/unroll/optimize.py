@@ -80,7 +80,9 @@ def select_candidate_loops(nest: LoopNest, safety: tuple[int, ...],
     if scores is None:
         scores = loop_locality_scores(nest, line_size=line_size)
     usable = [level for level in range(nest.depth - 1) if safety[level] > 0]
-    ranked = sorted(usable, key=lambda lv: (-scores[lv], lv))
+    # ``usable`` is ascending and a reverse sort is stable, so equal
+    # scores still go to the lower level.
+    ranked = sorted(usable, key=scores.__getitem__, reverse=True)
     chosen = ranked[:max_loops]
     return tuple(sorted(chosen))
 

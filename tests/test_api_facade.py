@@ -106,6 +106,10 @@ class TestCoerceMachine:
     def test_preset_names(self):
         assert api.coerce_machine("alpha").name == dec_alpha().name
 
+    def test_preset_is_built_once(self):
+        assert api.coerce_machine("alpha") is api.coerce_machine("alpha")
+        assert api.coerce_machine("alpha") == dec_alpha()
+
     def test_unknown_name(self):
         with pytest.raises(ValueError) as err:
             api.coerce_machine("cray")

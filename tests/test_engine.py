@@ -164,17 +164,6 @@ class TestBatch:
         assert len(report.results) == 5
         assert report.metrics["counters"]["batch.failures"] == 2
 
-    def test_parallel_workers_match_serial(self, corpus):
-        machine = dec_alpha()
-        serial = AnalysisEngine().optimize_many(corpus, machine, bound=2)
-        parallel = AnalysisEngine().optimize_many(corpus, machine, bound=2,
-                                                  workers=2)
-        assert [item.ok for item in parallel.items] == \
-            [item.ok for item in serial.items]
-        assert [item.result.unroll for item in parallel.items] == \
-            [item.result.unroll for item in serial.items]
-        assert parallel.workers == 2
-
     def test_report_to_dict_is_json_ready(self, corpus):
         import json
 

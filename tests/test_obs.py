@@ -2,8 +2,7 @@
 
 Covers the tentpole contracts of :mod:`repro.obs`:
 
-* span nesting and parent/child wiring (including across the engine's
-  process pool -- worker spans come back rooted under the batch span);
+* span nesting and parent/child wiring;
 * the bounded ring buffer (oldest spans dropped first);
 * Chrome ``trace_event`` export structure;
 * structured JSON log lines (``REPRO_LOG=json`` equivalent);
@@ -132,12 +131,6 @@ class TestSpans:
                 pass
         assert fresh.parent_id is None
 
-    def test_span_roundtrips_through_dict(self, tracer):
-        with obs.span("wire", n=1) as span_obj:
-            pass
-        restored = obs.Span.from_dict(span_obj.to_dict())
-        assert restored.to_dict() == span_obj.to_dict()
-
 class TestExports:
     def test_chrome_trace_structure(self, tracer):
         with obs.span("outer"):
@@ -216,36 +209,6 @@ class TestEngineIntegration:
         # Every span belongs to the one trace the root opened.
         assert {s.trace_id for s in tracer.spans()} == \
             {spans["test.root"].trace_id}
-
-    def test_pool_spans_survive_optimize_many(self, tracer):
-        nests = [kernel_by_name(name).nest
-                 for name in ("jacobi", "mmjik", "sor", "afold")]
-        engine = AnalysisEngine()
-        with obs.span("test.batch") as root:
-            report = engine.optimize_many(nests, dec_alpha(), bound=2,
-                                          workers=2)
-        assert all(item.ok for item in report.items)
-        spans = tracer.spans()
-        # One trace end to end, even across the process-pool hop.
-        assert {s.trace_id for s in spans} == {root.trace_id}
-        optimize_spans = [s for s in spans if s.name == "engine.optimize"]
-        assert len(optimize_spans) == len(nests)
-        batch_span = next(s for s in spans if s.name == "engine.optimize_many")
-        assert batch_span.parent_id == root.span_id
-        # Worker spans chain up to the batch span (directly or via an
-        # ancestor recorded in the same buffer).
-        by_id = {s.span_id: s for s in spans}
-        for span_obj in optimize_spans:
-            node = span_obj
-            seen = set()
-            while node.parent_id and node.parent_id in by_id \
-                    and node.span_id not in seen:
-                seen.add(node.span_id)
-                node = by_id[node.parent_id]
-            assert node is batch_span or node is root \
-                or node.span_id == batch_span.span_id
-        # Shipped-back spans are not re-delivered on the report items.
-        assert all(item.spans is None for item in report.items)
 
 class TestProfiler:
     def test_disabled_profiler_records_nothing(self):

@@ -1,14 +1,15 @@
 """Streaming corpus optimization and structural dedup.
 
 :meth:`AnalysisEngine.optimize_stream` must agree item-for-item with
-:meth:`optimize_many` (modulo yield order under a pool), survive poisoned
-entries mid-stream, and fan representative results out to structural
-twins without re-running them -- in both the batch and streaming paths.
+:meth:`optimize_many`, survive poisoned entries mid-stream, and fan
+representative results out to structural twins without re-running them
+-- in both the batch and streaming paths.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
+import warnings
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro import api
 from repro.corpus import CorpusConfig, iter_corpus
 from repro.engine import AnalysisEngine, BatchError
 from repro.ir.builder import NestBuilder
-from repro.ir.nodes import LoopNest
 from repro.machine.presets import dec_alpha
 
 def _twin(name, outer="J", inner="I", array="A"):
@@ -68,36 +68,6 @@ class TestBatchDedup:
         want = [item.result.unroll for item in reference.items]
         got = [item.result.unroll for item in report.items]
         assert got == want + want
-
-    def test_dedup_with_parallel_workers(self, corpus):
-        doubled = list(corpus) + list(corpus)
-        engine = AnalysisEngine()
-        report = engine.optimize_many(doubled, dec_alpha(), bound=2,
-                                      workers=2)
-        assert [item.index for item in report.items] == \
-            list(range(len(doubled)))
-        half = len(corpus)
-        firsts = [item.result.unroll for item in report.items[:half]]
-        seconds = [item.result.unroll for item in report.items[half:]]
-        assert firsts == seconds
-        # The pool changes nothing the caller can see.
-        serial_engine = AnalysisEngine()
-        serial = serial_engine.optimize_many(doubled, dec_alpha(), bound=2)
-        assert _decisions(report.items) == _decisions(serial.items)
-        assert engine.metrics.counter("engine.dedup.hits") == \
-            serial_engine.metrics.counter("engine.dedup.hits")
-
-    def test_parallel_batch_spreads_over_chunks(self, corpus):
-        engine = AnalysisEngine()
-        report = engine.optimize_many(corpus[:4], dec_alpha(), bound=2,
-                                      workers=2)
-        assert all(item.ok for item in report.items)
-        counters = engine.metrics.snapshot()["counters"]
-        # The chunk size follows the batch: four nests over two workers
-        # must not travel as one chunk to one worker (unless the sandbox
-        # forced the in-process fallback, which is counted too).
-        assert counters.get("stream.chunks", 0) >= 2 or \
-            counters.get("batch.pool_fallback", 0) > 0
 
 class TestStreamSerial:
     def test_matches_optimize_many(self, corpus):
@@ -161,54 +131,6 @@ class TestStreamSerial:
         assert len(pulled) == 1
         stream.close()
 
-class TestStreamParallel:
-    def test_matches_optimize_many(self, corpus):
-        machine = dec_alpha()
-        want = AnalysisEngine().optimize_many(corpus, machine, bound=2)
-        engine = AnalysisEngine()
-        got = list(engine.optimize_stream(iter(corpus), machine, bound=2,
-                                          workers=2, chunk_size=3))
-        assert _decisions(got) == _decisions(want.items)
-        counters = engine.metrics.snapshot()["counters"]
-        # Either the pool ran (chunks counted) or the sandbox forced the
-        # serial fallback (counted too) -- both deliver every item.
-        assert counters.get("stream.chunks", 0) > 0 or \
-            counters.get("batch.pool_fallback", 0) > 0
-
-    def test_twins_against_in_flight_chunks(self):
-        engine = AnalysisEngine()
-        nests = [_twin("a"), _twin("b"), _twin("z", array="Z"), _twin("c")]
-        got = list(engine.optimize_stream(iter(nests), dec_alpha(),
-                                          bound=2, workers=2,
-                                          chunk_size=2))
-        counters = engine.metrics.snapshot()["counters"]
-        assert counters["engine.dedup.hits"] == 2
-        by_name = {item.name: item for item in got}
-        assert set(by_name) == {"a", "b", "c", "z"}
-        assert all(item.ok for item in got)
-        assert by_name["a"].result.unroll == by_name["b"].result.unroll
-        assert by_name["b"].result.nest.name == "b"
-
-class _WorkerKiller(LoopNest):
-    """A nest whose unpickling ends the pool worker that receives it."""
-
-    def __reduce__(self):
-        return (os._exit, (3,))
-
-class TestBrokenPool:
-    def test_dead_worker_fails_items_not_the_batch(self, corpus):
-        killer = _WorkerKiller(corpus[0].name, corpus[0].loops,
-                               corpus[0].body)
-        nests = [killer] + list(corpus)
-        report = AnalysisEngine().optimize_many(nests, dec_alpha(), bound=2,
-                                                workers=2)
-        assert [item.index for item in report.items] == \
-            list(range(len(nests)))
-        assert not report.items[0].ok
-        assert report.items[0].error.startswith("worker failed: ")
-        assert all(item.ok or item.error.startswith("worker failed: ")
-                   for item in report.items)
-
 class TestApiFacade:
     def test_optimize_stream_coerces_and_streams(self):
         got = list(api.optimize_stream(["jacobi", "nosuchkernel", "afold"],
@@ -223,3 +145,19 @@ class TestApiFacade:
         import repro
 
         assert repro.optimize_stream is api.optimize_stream
+
+    def test_workers_warn_and_run_in_process(self, corpus):
+        """``workers`` still parses: a value above 1 warns once and runs
+        the corpus in-process, with the decisions of ``workers=None``."""
+        want = api.optimize_many(corpus, bound=2, engine=AnalysisEngine())
+        api._WARNED.discard("optimize_many(workers=N)")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = api.optimize_many(corpus, bound=2, workers=2,
+                                    engine=AnalysisEngine())
+            assert multiprocessing.active_children() == []
+        assert [w.category for w in caught] == [DeprecationWarning]
+        assert "workers" in str(caught[0].message)
+        assert _decisions(got.items) == _decisions(want.items)
+        assert [item.index for item in got.items] == \
+            list(range(len(corpus)))
